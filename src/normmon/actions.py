@@ -2,9 +2,8 @@
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import FrozenSet, Iterable, Sequence, Set, Tuple
 
 from .logic import (
     Atom,
@@ -15,13 +14,8 @@ from .logic import (
     StaticFacts,
     Substitution,
     consistent_with,
-    eval_constraint,
     is_consistent,
-    is_ground_atom,
     is_variable,
-    satisfies,
-    satisfies_closed,
-    subst_atom,
     subst_literal,
     subst_term,
     unify,
@@ -106,68 +100,6 @@ def ground_instance(
     post = frozenset(subst_literal(sigma, l) for l in d.post)
     con = tuple(ref.substitute(sigma) for ref in d.con)
     return ActionInstance(d.name, args, subst_term(sigma, d.actor_param), pre, con, post)
-
-
-def instantiate_full(
-    d: ActionDescription,
-    state: Set[Atom],
-    statics: StaticFacts,
-    dynamic_preds: FrozenSet[str],
-    actor: Optional[str] = None,
-) -> List[ActionInstance]:
-    """All instances whose precondition holds in a closed-world full state."""
-    seed = {d.actor_param: actor} if actor else None
-    sigmas = satisfies_closed(d.pre, d.constraints, state, statics, seed=seed)
-    out = []
-    seen = set()
-    for sigma in sigmas:
-        inst = ground_instance(d, sigma, dynamic_preds)
-        key = (inst.schema, inst.actor)
-        if key not in seen:
-            seen.add(key)
-            out.append(inst)
-    return sorted(out, key=lambda a: a.schema)
-
-
-def instantiate_partial(
-    d: ActionDescription,
-    state: LiteralSet,
-    statics: StaticFacts,
-    dynamic_preds: FrozenSet[str],
-    actor: Optional[str] = None,
-) -> List[ActionInstance]:
-    """Instances matchable against an open-world partial state.
-
-    Positive preconditions must be asserted (or static); negative
-    preconditions block only when their positive counterpart is asserted.
-    Unknown atoms neither match nor block.
-    """
-    positives = [l for l in d.pre if l[1]]
-    negatives = [l for l in d.pre if not l[1]]
-    seed = {d.actor_param: actor} if actor else None
-    sigmas = satisfies(positives, d.constraints, state, statics, seed=seed)
-    out = []
-    seen = set()
-    for sigma in sigmas:
-        blocked = False
-        for pattern, _ in negatives:
-            atom = subst_atom(sigma, pattern)
-            if is_ground_atom(atom):
-                if atom[0] in dynamic_preds:
-                    if state.sign(atom) is True:
-                        blocked = True
-                        break
-                elif atom in statics:
-                    blocked = True
-                    break
-        if blocked:
-            continue
-        inst = ground_instance(d, sigma, dynamic_preds)
-        key = (inst.schema, inst.actor)
-        if key not in seen:
-            seen.add(key)
-            out.append(inst)
-    return sorted(out, key=lambda a: a.schema)
 
 
 def joint_pre(actions: Iterable[ActionInstance]) -> Set[Literal]:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import os
 import random
 import sys
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import click
 
@@ -92,46 +92,34 @@ def _default_out(name: Optional[str]) -> Optional[str]:
     return name
 
 
-def _violation_rows(
-    sweep: List[Tuple[float, Metrics]]
-) -> List[Tuple[float, List[Optional[float]]]]:
-    rows = []
-    for ratio, metrics in sweep:
-        rows.append(
-            (
-                ratio,
-                [
-                    _rate(metrics, TRADITIONAL, "identified_violations", "gt_violations"),
-                    _rate(metrics, FULL, "identified_violations", "gt_violations"),
-                    _rate(metrics, APPROXIMATE, "identified_violations", "gt_violations"),
-                    _rate(metrics, APPROXIMATE, "discovered_violations", "gt_violations"),
-                ],
-            )
-        )
-    return rows
+# The CSV columns after the ratio: (variant, detection mode).
+_COLUMNS = (
+    (TRADITIONAL, "identified"),
+    (FULL, "identified"),
+    (APPROXIMATE, "identified"),
+    (APPROXIMATE, "discovered"),
+)
 
 
-def _fulfilment_rows(
-    sweep: List[Tuple[float, Metrics]]
+def _rows(
+    sweep: List[Tuple[float, Metrics]], events: str
 ) -> List[Tuple[float, List[Optional[float]]]]:
-    rows = []
-    for ratio, metrics in sweep:
-        rows.append(
-            (
-                ratio,
-                [
-                    _rate(metrics, TRADITIONAL, "identified_fulfilments", "gt_fulfilments"),
-                    _rate(metrics, FULL, "identified_fulfilments", "gt_fulfilments"),
-                    _rate(metrics, APPROXIMATE, "identified_fulfilments", "gt_fulfilments"),
-                    _rate(metrics, APPROXIMATE, "discovered_fulfilments", "gt_fulfilments"),
-                ],
-            )
-        )
-    return rows
+    """One row per ratio; ``events`` is "violations" or "fulfilments"."""
+    return [
+        (ratio, [_rate(metrics, v, f"{mode}_{events}", f"gt_{events}") for v, mode in _COLUMNS])
+        for ratio, metrics in sweep
+    ]
 
 
 def _csv(rows: List[Tuple[float, List[Optional[float]]]]) -> str:
     return "\n".join([CSV_HEADER] + [_csv_row(r, cells) for r, cells in rows]) + "\n"
+
+
+def _config(cls, **fields):
+    try:
+        return cls(**fields)
+    except ValueError as exc:
+        raise click.UsageError(str(exc))
 
 
 def _write_first_rep_trace(cfg, generator, variant: str, path: str) -> None:
@@ -194,39 +182,30 @@ def cmd_case_study(
                 f"full variant is exponential; refusing offices > {FULL_GUARD_OFFICES} "
                 f"or robots > {FULL_GUARD_ROBOTS} without --force"
             )
-    ratios = SWEEP_RATIOS if sweep else (camera_ratio,)
-    results = []
-    for ratio in ratios:
-        try:
-            cfg = CaseStudyConfig(
-                offices_min=offices_min,
-                offices_max=offices_max,
-                robots_min=robots_min,
-                robots_max=robots_max,
-                camera_ratio=ratio,
-                steps=steps,
-                repetitions=reps,
-                seed=seed,
-            )
-        except ValueError as exc:
-            raise click.UsageError(str(exc))
-        results.append((ratio, run_experiment(cfg, variants, generate_case_study)))
-    rows = _violation_rows(results)
-    _emit(_csv(rows), _table(rows), _default_out(out))
-    if trace_path:
-        if variant == "all":
-            raise click.UsageError("--trace needs a single --variant")
-        cfg = CaseStudyConfig(
+    configs = [
+        _config(
+            CaseStudyConfig,
             offices_min=offices_min,
             offices_max=offices_max,
             robots_min=robots_min,
             robots_max=robots_max,
-            camera_ratio=ratios[0],
+            camera_ratio=ratio,
             steps=steps,
             repetitions=reps,
             seed=seed,
         )
-        _write_first_rep_trace(cfg, generate_case_study, variant, _default_out(trace_path))
+        for ratio in (SWEEP_RATIOS if sweep else (camera_ratio,))
+    ]
+    results = [
+        (cfg.camera_ratio, run_experiment(cfg, variants, generate_case_study))
+        for cfg in configs
+    ]
+    rows = _rows(results, "violations")
+    _emit(_csv(rows), _table(rows), _default_out(out))
+    if trace_path:
+        if variant == "all":
+            raise click.UsageError("--trace needs a single --variant")
+        _write_first_rep_trace(configs[0], generate_case_study, variant, _default_out(trace_path))
 
 
 @main.command("random")
@@ -281,45 +260,37 @@ def cmd_random(
                 f"full variant is exponential; refusing agents > {FULL_GUARD_AGENTS} "
                 f"or actions > {FULL_GUARD_ACTIONS} without --force"
             )
-    probabilities = SWEEP_RATIOS if sweep else (obs_prob,)
+    first = None
     for n_actions in actions_list:
-        results = []
-        for prob in probabilities:
-            try:
-                cfg = RandomConfig(
-                    agents=agents_min,
-                    agents_max=agents_max,
-                    actions=n_actions,
-                    observation_probability=prob,
-                    steps=steps,
-                    repetitions=reps,
-                    seed=seed,
-                )
-            except ValueError as exc:
-                raise click.UsageError(str(exc))
-            results.append((prob, run_experiment(cfg, variants, generate_random)))
+        configs = [
+            _config(
+                RandomConfig,
+                agents=agents_min,
+                agents_max=agents_max,
+                actions=n_actions,
+                observation_probability=prob,
+                steps=steps,
+                repetitions=reps,
+                seed=seed,
+            )
+            for prob in (SWEEP_RATIOS if sweep else (obs_prob,))
+        ]
+        first = first or configs[0]
+        results = [
+            (cfg.observation_probability, run_experiment(cfg, variants, generate_random))
+            for cfg in configs
+        ]
         if len(actions_list) > 1:
             click.echo(f"# actions = {n_actions}")
-        for label, rows in (
-            ("violations", _violation_rows(results)),
-            ("fulfilments", _fulfilment_rows(results)),
-        ):
+        for label in ("violations", "fulfilments"):
             click.echo(f"-- {label} --")
+            rows = _rows(results, label)
             path = _default_out(f"{out}_{label}.csv") if out else None
             _emit(_csv(rows), _table(rows), path)
     if trace_path:
         if variant == "all":
             raise click.UsageError("--trace needs a single --variant")
-        cfg = RandomConfig(
-            agents=agents_min,
-            agents_max=agents_max,
-            actions=actions_list[0],
-            observation_probability=probabilities[0],
-            steps=steps,
-            repetitions=reps,
-            seed=seed,
-        )
-        _write_first_rep_trace(cfg, generate_random, variant, _default_out(trace_path))
+        _write_first_rep_trace(first, generate_random, variant, _default_out(trace_path))
 
 
 @main.command("replay")

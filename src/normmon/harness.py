@@ -6,18 +6,16 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .actions import (
     ActionInstance,
     apply_concurrent,
     concurrent_condition_satisfied,
-    joint_post,
 )
-from .logic import Atom, LiteralSet, unify
-from .monitor import APPROXIMATE, FULL, TRADITIONAL, NormMonitor, TickRecord
+from .logic import Atom, unify
+from .monitor import NormMonitor, TickRecord
 from .norms import (
-    DISCOVERED,
     FULFILLED,
     IDENTIFIED,
     UNKNOWN,
@@ -104,7 +102,6 @@ def generate_case_study(cfg: CaseStudyConfig, rng: random.Random) -> Scenario:
         ),
         "initial_state": sorted(f"in({r},{o})" for r, o in zip(robots, homes)),
         "dynamic_atoms": sorted(f"in({r},{o})" for r in robots for o in offices),
-        "decomposable": True,
         "rules": [{"body": ["in(R,O1)", "in(R,O2)"], "constraints": ["O1!=O2"]}],
         "action_descriptions": [
             {
@@ -232,7 +229,6 @@ def generate_random(cfg: RandomConfig, rng: random.Random) -> Scenario:
         ),
         "initial_state": sorted(p for p in props if rng.random() < 0.5),
         "dynamic_atoms": sorted(props),
-        "decomposable": False,
         "rules": [],
         "action_descriptions": descriptions,
         "norms": norms,
@@ -465,19 +461,15 @@ def run_monitor(
 
 @dataclass
 class Metrics:
-    """Pooled detection counts plus per-run percentage means."""
+    """Pooled detection counts plus the per-run scores."""
 
     runs: int = 0
     pooled: Dict[str, RunScore] = field(default_factory=dict)
     per_run: Dict[str, List[RunScore]] = field(default_factory=dict)
-    recon_seconds: Dict[str, float] = field(default_factory=dict)
-    recon_ticks: Dict[str, int] = field(default_factory=dict)
 
-    def add(self, variant: str, score: RunScore, seconds: float, ticks: int) -> None:
+    def add(self, variant: str, score: RunScore) -> None:
         self.pooled[variant] = self.pooled.get(variant, RunScore()).merged(score)
         self.per_run.setdefault(variant, []).append(score)
-        self.recon_seconds[variant] = self.recon_seconds.get(variant, 0.0) + seconds
-        self.recon_ticks[variant] = self.recon_ticks.get(variant, 0) + ticks
 
     def pooled_rate(self, variant: str, field_name: str, denom_name: str) -> float:
         pooled = self.pooled.get(variant, RunScore())
@@ -485,14 +477,6 @@ class Metrics:
         if denom == 0:
             return 0.0
         return 100.0 * getattr(pooled, field_name) / denom
-
-    def mean_rate(self, variant: str, field_name: str, denom_name: str) -> float:
-        rates = [
-            100.0 * getattr(s, field_name) / getattr(s, denom_name)
-            for s in self.per_run.get(variant, [])
-            if getattr(s, denom_name)
-        ]
-        return sum(rates) / len(rates) if rates else 0.0
 
 
 def run_experiment(
@@ -510,8 +494,6 @@ def run_experiment(
         log = simulate(scenario, cfg.steps, rng)
         for variant in variants:
             records = run_monitor(scenario, log, variant, solution_cap=solution_cap)
-            seconds = sum(r.reconstruction_seconds for r in records)
-            ticks = sum(1 for r in records if r.reconstruction_seconds > 0)
-            metrics.add(variant, score_run(scenario, log, records), seconds, ticks)
+            metrics.add(variant, score_run(scenario, log, records))
         metrics.runs += 1
     return metrics

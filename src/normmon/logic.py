@@ -13,7 +13,7 @@ forward chaining is performed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 Atom = Tuple[str, ...]
@@ -46,10 +46,6 @@ def subst_atom(sigma: Substitution, atom: Atom) -> Atom:
 
 def subst_literal(sigma: Substitution, literal: Literal) -> Literal:
     return (subst_atom(sigma, literal[0]), literal[1])
-
-
-def complement(literal: Literal) -> Literal:
-    return (literal[0], not literal[1])
 
 
 def unify(pattern: Atom, ground: Atom, seed: Optional[Substitution] = None) -> Optional[Substitution]:
@@ -399,12 +395,10 @@ def satisfies_closed(
     return results
 
 
-def format_atom(atom: Atom) -> str:
-    if len(atom) == 1:
-        return atom[0]
-    return f"{atom[0]}({','.join(atom[1:])})"
+def atom_text(atom: Atom) -> str:
+    return atom[0] if len(atom) == 1 else f"{atom[0]}({','.join(atom[1:])})"
 
 
-def format_literal(literal: Literal) -> str:
+def literal_text(literal: Literal) -> str:
     atom, sign = literal
-    return format_atom(atom) if sign else "-" + format_atom(atom)
+    return atom_text(atom) if sign else "-" + atom_text(atom)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import FrozenSet, List, Optional, Sequence, Tuple
 
 from .actions import ActionInstance, effects, joint_post, joint_pre
 from .logic import Literal, LiteralSet, consistent_with
@@ -22,8 +22,6 @@ from .norms import (
     PROHIBITION,
     UNKNOWN,
     VIOLATED,
-    FULFILLED,
-    NormInstance,
     Verdict,
     instance_matches,
     judge,
@@ -63,7 +61,8 @@ class TickRecord:
     state_snapshot: FrozenSet[Literal]
     cap_hit: bool = False
     no_completion: bool = False
-    reconstruction_seconds: float = 0.0
+    # A timing, not a conclusion: left out of record equality.
+    reconstruction_seconds: float = field(default=0.0, compare=False)
 
 
 def invariant_literals(p: LiteralSet, acts: Sequence[ActionInstance], scenario: Scenario) -> List[Literal]:
@@ -220,14 +219,11 @@ class NormMonitor:
         if self._finished:
             raise RuntimeError("monitor already finished")
         acts = self._validate(observed)
-        if len(acts) < len(self.scenario.agents):
-            nxt = LiteralSet(joint_post(acts))
-        else:
-            nxt = LiteralSet(joint_post(acts))
-            eff = effects(acts, self.scenario.statics, self.scenario.rules)
+        nxt = LiteralSet(joint_post(acts))
+        if len(acts) == len(self.scenario.agents):
             for lit in invariant_literals(self.curr, acts, self.scenario):
                 nxt.add(lit)
-            for lit in eff:
+            for lit in effects(acts, self.scenario.statics, self.scenario.rules):
                 nxt.add(lit)
         self.curr.assume(sorted(joint_pre(acts)))
         record = self._close_previous()

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Iterable, List, Optional, Sequence, Set, Tuple
 
 from .actions import ActionInstance, SchemaRef
 from .logic import (
@@ -12,8 +12,8 @@ from .logic import (
     Literal,
     LiteralSet,
     StaticFacts,
+    atom_text,
     eval_constraint,
-    format_atom,
     satisfies,
     satisfies_closed,
     subst_term,
@@ -135,28 +135,17 @@ def matching_actions(inst: NormInstance, acts: Iterable[ActionInstance]) -> List
     )
 
 
-def judge_obligation(inst: NormInstance, acts: Sequence[ActionInstance], agent_count: int) -> str:
-    matches = matching_actions(inst, acts)
-    if matches:
-        return FULFILLED
-    if len(acts) == agent_count:
-        return VIOLATED
-    return UNKNOWN
-
-
-def judge_prohibition(inst: NormInstance, acts: Sequence[ActionInstance], agent_count: int) -> str:
-    matches = matching_actions(inst, acts)
-    if matches:
-        return VIOLATED
-    if len(acts) == agent_count:
-        return FULFILLED
-    return UNKNOWN
-
-
 def judge(inst: NormInstance, acts: Sequence[ActionInstance], agent_count: int) -> str:
-    if inst.norm.deontic == OBLIGATION:
-        return judge_obligation(inst, acts, agent_count)
-    return judge_prohibition(inst, acts, agent_count)
+    """A matching action fulfils an obligation and violates a prohibition;
+    a complete joint action without one does the opposite. Otherwise the
+    instance stays unknown."""
+    if any(instance_matches(inst, a.schema) for a in acts):
+        matched = True
+    elif len(acts) == agent_count:
+        matched = False
+    else:
+        return UNKNOWN
+    return FULFILLED if matched == (inst.norm.deontic == OBLIGATION) else VIOLATED
 
 
 def forbidden(prohibitions: Iterable[NormInstance], a: ActionInstance) -> bool:
@@ -175,9 +164,6 @@ class Verdict:
     culprit: Optional[str] = None
     witness: Optional[ActionInstance] = None
 
-    def key(self) -> Tuple:
-        return (self.instance.norm_id, self.instance.action, self.status, self.mode, self.culprit)
-
     def __repr__(self) -> str:
         w = f" by {self.witness}" if self.witness else ""
-        return f"<{self.mode} {self.status} {self.instance.norm_id}:{format_atom(self.instance.action)}{w}>"
+        return f"<{self.mode} {self.status} {self.instance.norm_id}:{atom_text(self.instance.action)}{w}>"

@@ -1,17 +1,19 @@
 """Reconstruction of unobserved actions.
 
-Two routes: an exhaustive search over the joint actions of unobserved
-agents (exponential in the worst case) and a per-agent fixpoint
-approximation (polynomial). Both consume a partial initial state ``i`` and
-a partial final state ``f``, mutate them in place with the knowledge gained
-and return the set of actions the monitor can be certain about.
+Two routes over the same per-agent candidate actions: an exhaustive
+reconstruction over the joint actions of unobserved agents (exponential in
+the worst case, product-form on decomposable scenarios) and a per-agent
+fixpoint approximation (polynomial). Both consume a partial initial state
+``i`` and a partial final state ``f``, find the actions the monitor can be
+certain about and the postcondition sets of the possible completions, and
+end in one shared tail that updates ``i`` and ``f`` in place.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .actions import (
     ActionInstance,
@@ -94,6 +96,31 @@ def check_solution_consistency(
     return all(concurrent_condition_satisfied(a, joint) for a in joint)
 
 
+def _assume_checked(
+    scenario: Scenario,
+    state: LiteralSet,
+    literals: Iterable[Literal],
+    where: str,
+    what: str,
+    subject: Optional[ActionInstance] = None,
+) -> None:
+    """Extend a sound state, which must stay consistent. The fault message
+    is formatted only when raised: this runs on every reconstructing tick."""
+    if not consistent_with(state, literals, scenario.statics, scenario.rules):
+        what = what if subject is None else f"{what} {subject}"
+        raise KnowledgeFault(f"{where} state contradicted by {what}")
+    state.assume(literals)
+
+
+def _assume_action(
+    scenario: Scenario, i: LiteralSet, f: LiteralSet, a: ActionInstance, what: str
+) -> None:
+    """An action known to have run: its preconditions hold in i, its
+    postconditions in f."""
+    _assume_checked(scenario, i, a.pre, "initial", what, a)
+    _assume_checked(scenario, f, a.post, "final", what, a)
+
+
 def _fold_observed(
     scenario: Scenario, i: LiteralSet, f: LiteralSet, observed: Sequence[ActionInstance]
 ) -> None:
@@ -103,12 +130,7 @@ def _fold_observed(
     get the same guarantee here.
     """
     for a in observed:
-        if not consistent_with(i, a.pre, scenario.statics, scenario.rules):
-            raise KnowledgeFault(f"observed action {a} contradicts the initial state")
-        i.assume(a.pre)
-        if not consistent_with(f, a.post, scenario.statics, scenario.rules):
-            raise KnowledgeFault(f"observed action {a} contradicts the final state")
-        f.assume(a.post)
+        _assume_action(scenario, i, f, a, "observed action")
 
 
 def search(
@@ -177,37 +199,52 @@ def _surviving(
     ]
 
 
-def _assume_checked(
-    scenario: Scenario, state: LiteralSet, literals: Iterable[Literal], what: str
-) -> None:
-    literals = list(literals)
-    if not consistent_with(state, literals, scenario.statics, scenario.rules):
-        raise KnowledgeFault(f"{what} contradict the known state")
-    state.assume(literals)
-
-
-def _finalize_incomplete(
+def _extended_invariants(
     scenario: Scenario,
+    i: LiteralSet,
+    acts: Sequence[ActionInstance],
+    post_sets: Iterable[Iterable[Literal]],
+) -> List[Literal]:
+    """Literals of i that neither the known actions nor any possible
+    completion can have changed: each consistent with the known
+    postconditions plus every one of the post sets in turn."""
+    base = LiteralSet(joint_post(acts))
+    survivors = _surviving(list(i.literals()), base, scenario)
+    for post in post_sets:
+        if not survivors:
+            break
+        extra = base.assume(post)
+        survivors = _surviving(survivors, base, scenario)
+        base.retract(extra)
+    return survivors
+
+
+def _commit(
+    scenario: Scenario,
+    i: LiteralSet,
     f: LiteralSet,
+    acts: Sequence[ActionInstance],
     reconstructed: Sequence[ActionInstance],
-    extended_invariants: Iterable[Literal],
-) -> None:
-    """Some agents are still unaccounted for: the final state gains the
-    reconstructed postconditions and the provably unchanged literals."""
-    _assume_checked(scenario, f, joint_post(reconstructed), "reconstructed postconditions")
-    f.assume(extended_invariants)
-
-
-def _finalize_complete(
-    scenario: Scenario, i: LiteralSet, f: LiteralSet, acts: Sequence[ActionInstance]
-) -> None:
-    """The whole concurrent action is now known: the final state is the
-    invariant part of the initial state plus the joint effects."""
-    eff = effects(acts, scenario.statics, scenario.rules)
-    eff_set = LiteralSet(eff)
-    i_star = _surviving(list(i.literals()), eff_set, scenario)
-    f.assume(i_star)
-    _assume_checked(scenario, f, eff, "joint effects")
+    post_sets: Iterable[Iterable[Literal]],
+) -> List[ActionInstance]:
+    """The tail every route shares, given R and the post sets of the possible
+    completions: R's preconditions hold in i. While some agent is still
+    unaccounted for, f gains R's postconditions and the extended invariants,
+    sound whenever a completion exists since the executed one is among them.
+    Once the whole concurrent action is known, f is the invariant part of i
+    plus the joint effects. Returns the known actions, observed plus R."""
+    acts = sorted(set(acts) | set(reconstructed), key=lambda a: a.schema)
+    pre, post = joint_pre(reconstructed), joint_post(reconstructed)
+    _assume_checked(scenario, i, pre, "initial", "reconstructed preconditions")
+    if len(acts) < len(scenario.agents):
+        extended = _extended_invariants(scenario, i, acts, post_sets)
+        _assume_checked(scenario, f, post, "final", "reconstructed postconditions")
+        f.assume(extended)
+    else:
+        eff = effects(acts, scenario.statics, scenario.rules)
+        f.assume(_surviving(list(i.literals()), LiteralSet(eff), scenario))
+        _assume_checked(scenario, f, eff, "final", "joint effects")
+    return acts
 
 
 def full_reconstruct(
@@ -219,128 +256,53 @@ def full_reconstruct(
     cap: int = DEFAULT_SOLUTION_CAP,
 ) -> Tuple[ReconstructionOutcome, List[ActionInstance]]:
     """Exhaustive reconstruction. Returns the outcome and the updated
-    observed-action list (observed plus committed reconstructions)."""
+    observed-action list (observed plus committed reconstructions).
+
+    On a decomposable scenario every tuple of per-agent candidates is a
+    solution, so the solution set is never materialised: R is the union of
+    the singleton candidate rows and each candidate's postconditions are
+    one post set. Otherwise R is the intersection of the consistent
+    solutions that ``search`` enumerates, with one joint post set each.
+    Both forms give identical results; only the cost differs.
+    """
     targets = sorted(targets)
     acts = sorted(observed, key=lambda a: a.schema)
     _fold_observed(scenario, i, f, acts)
     if scenario.decomposable:
-        return _full_reconstruct_decomposable(scenario, i, f, acts, targets, cap)
-
-    solutions, cap_hit = search(scenario, i, f, acts, targets, cap=cap)
-    if cap_hit:
-        # Too many candidate completions; proceed as if nothing was certain.
-        return (
-            ReconstructionOutcome((), (), solution_count=len(solutions), cap_hit=True),
-            acts,
+        table = {t: candidate_actions(scenario, t, i, f) for t in targets}
+        counts = {t: len(row) for t, row in table.items()}
+        solution_count = math.prod(counts.values())
+        r_set = {row[0] for row in table.values() if len(row) == 1}
+        post_sets = (a.post for row in table.values() for a in row)
+    else:
+        solutions, cap_hit = search(scenario, i, f, acts, targets, cap=cap)
+        if cap_hit:
+            # Too many candidate completions; proceed as if nothing was certain.
+            return (
+                ReconstructionOutcome((), (), solution_count=len(solutions), cap_hit=True),
+                acts,
+            )
+        consistent = [
+            s for s in solutions if check_solution_consistency(scenario, acts, s, i, f)
+        ]
+        counts = {}
+        solution_count = len(consistent)
+        r_set = set(consistent[0]) if consistent else set()
+        for s in consistent[1:]:
+            if not r_set:
+                break
+            r_set &= set(s)
+        post_sets = (joint_post(s) for s in consistent)
+    if not solution_count:  # an empty candidate row, or no consistent solution
+        outcome = ReconstructionOutcome(
+            (), (), solution_count=0, candidate_counts=counts, no_completion=True
         )
-    consistent = [
-        s for s in solutions if check_solution_consistency(scenario, acts, s, i, f)
-    ]
-    if not consistent:
-        return (
-            ReconstructionOutcome((), (), solution_count=0, no_completion=True),
-            acts,
-        )
-    r_set = set(consistent[0])
-    for s in consistent[1:]:
-        r_set &= set(s)
-        if not r_set:
-            break
+        return outcome, acts
     reconstructed = tuple(sorted(r_set, key=lambda a: a.schema))
+    acts = _commit(scenario, i, f, acts, reconstructed, post_sets)
     outcome = ReconstructionOutcome(
-        reconstructed, (), solution_count=len(consistent)
+        reconstructed, (), solution_count=min(solution_count, cap), candidate_counts=counts
     )
-    if reconstructed:
-        acts = sorted(set(acts) | r_set, key=lambda a: a.schema)
-        _assume_checked(scenario, i, joint_pre(reconstructed), "reconstructed preconditions")
-    # The extended-invariant update of the final state is sound whenever the
-    # solution set is nonempty, R or no R: the executed completion is one of
-    # the solutions, so a literal no solution can change did not change.
-    if len(acts) < len(scenario.agents):
-        extended = _extended_invariants_full(scenario, i, acts, consistent)
-        _finalize_incomplete(scenario, f, reconstructed, extended)
-    else:
-        _finalize_complete(scenario, i, f, acts)
-    return outcome, acts
-
-
-def _extended_invariants_full(
-    scenario: Scenario,
-    i: LiteralSet,
-    acts: Sequence[ActionInstance],
-    solutions: Sequence[Tuple[ActionInstance, ...]],
-) -> List[Literal]:
-    """Literals of i no solution's joint postconditions can have changed."""
-    survivors = list(i.literals())
-    base = LiteralSet(joint_post(acts))
-    for sol in solutions:
-        extra = base.assume(joint_post(sol))
-        survivors = _surviving(survivors, base, scenario)
-        base.retract(extra)
-        if not survivors:
-            break
-    return survivors
-
-
-def _full_reconstruct_decomposable(
-    scenario: Scenario,
-    i: LiteralSet,
-    f: LiteralSet,
-    acts: List[ActionInstance],
-    targets: List[str],
-    cap: int,
-) -> Tuple[ReconstructionOutcome, List[ActionInstance]]:
-    """Product-form shortcut for scenarios whose candidate actions cannot
-    interact across agents (disjoint dynamic atoms per agent, no concurrent
-    conditions, integrity rules confined to a single agent's atoms).
-
-    Every tuple of per-agent consistent candidates is then a solution, so
-    the solution set never needs materialising: the intersection is the
-    union of singleton candidate rows and the extended invariants can be
-    computed per candidate. Results are identical to the generic route
-    (covered by tests); only the cost differs.
-    """
-    table = {t: candidate_actions(scenario, t, i, f) for t in targets}
-    counts = {t: len(row) for t, row in table.items()}
-    if any(not row for row in table.values()):
-        return (
-            ReconstructionOutcome(
-                (), (), solution_count=0, candidate_counts=counts, no_completion=True
-            ),
-            acts,
-        )
-    solution_count = math.prod(counts.values())
-    reconstructed = tuple(
-        sorted(
-            (row[0] for row in table.values() if len(row) == 1),
-            key=lambda a: a.schema,
-        )
-    )
-    outcome = ReconstructionOutcome(
-        reconstructed,
-        (),
-        solution_count=min(solution_count, cap),
-        candidate_counts=counts,
-        cap_hit=False,
-    )
-    if reconstructed:
-        acts = sorted(set(acts) | set(reconstructed), key=lambda a: a.schema)
-        _assume_checked(scenario, i, joint_pre(reconstructed), "reconstructed preconditions")
-    if len(acts) < len(scenario.agents):
-        # Under decomposability a literal clashes with some solution's joint
-        # postconditions iff it clashes with a single candidate's, so the
-        # extended invariants reduce to a per-candidate filter.
-        survivors = list(i.literals())
-        base = LiteralSet(joint_post(acts))
-        survivors = _surviving(survivors, base, scenario)
-        for row in table.values():
-            for a in row:
-                extra = base.assume(a.post)
-                survivors = _surviving(survivors, base, scenario)
-                base.retract(extra)
-        _finalize_incomplete(scenario, f, reconstructed, survivors)
-    else:
-        _finalize_complete(scenario, i, f, acts)
     return outcome, acts
 
 
@@ -366,14 +328,8 @@ def approximate_search(
         rows = {t: candidate_actions(scenario, t, i, f) for t in remaining}
         for t in list(remaining):
             if len(rows[t]) == 1:
-                a = rows[t][0]
-                table[t] = [a]
-                if not consistent_with(i, a.pre, scenario.statics, scenario.rules):
-                    raise KnowledgeFault(f"committed action {a} contradicts the initial state")
-                i.assume(a.pre)
-                if not consistent_with(f, a.post, scenario.statics, scenario.rules):
-                    raise KnowledgeFault(f"committed action {a} contradicts the final state")
-                f.assume(a.post)
+                table[t] = rows[t]
+                _assume_action(scenario, i, f, rows[t][0], "committed action")
                 remaining.remove(t)
                 committed.append(t)
                 progress = True
@@ -392,7 +348,9 @@ def approximate_reconstruct(
 ) -> Tuple[ReconstructionOutcome, List[ActionInstance]]:
     """Polynomial reconstruction plus the discovered-verdict set.
 
-    Agents left with several candidates, all of which are forbidden (resp.
+    Committed actions form R and each candidate's postconditions are one
+    post set, as in the product form of :func:`full_reconstruct`. Agents
+    left with several candidates, all of which are forbidden (resp.
     mandatory), yield one representative action in the discovered set: the
     monitor knows some instance was violated (fulfilled) without knowing
     which action was executed.
@@ -405,17 +363,13 @@ def approximate_reconstruct(
     reconstructed = tuple(
         sorted((table[t][0] for t in committed), key=lambda a: a.schema)
     )
-    no_completion = any(not row for row in table.values())
-    if reconstructed:
-        # pre/post of committed actions were already folded into i and f
-        # during the fixpoint; the remaining updates are idempotent unions.
+    no_completion = not all(table.values())
+    if no_completion:
+        # The commits already extended i and f; the states get no more.
         acts = sorted(set(acts) | set(reconstructed), key=lambda a: a.schema)
-    if not no_completion:
-        if len(acts) < len(scenario.agents):
-            extended = _extended_invariants_approx(scenario, i, acts, table)
-            _finalize_incomplete(scenario, f, reconstructed, extended)
-        else:
-            _finalize_complete(scenario, i, f, acts)
+    else:
+        post_sets = (a.post for row in table.values() for a in row)
+        acts = _commit(scenario, i, f, acts, reconstructed, post_sets)
 
     instances = relevant_instances(scenario.norms, i, scenario.statics)
     prohibitions = [n for n in instances if n.norm.deontic == PROHIBITION]
@@ -440,25 +394,6 @@ def approximate_reconstruct(
         no_completion=no_completion,
     )
     return outcome, acts
-
-
-def _extended_invariants_approx(
-    scenario: Scenario,
-    i: LiteralSet,
-    acts: Sequence[ActionInstance],
-    table: Dict[str, List[ActionInstance]],
-) -> List[Literal]:
-    """Literals of i unchanged both by the (extended) observed actions and
-    by every individual candidate action."""
-    base = LiteralSet(joint_post(acts))
-    survivors = _surviving(list(i.literals()), base, scenario)
-    for row in table.values():
-        for a in row:
-            post_set = LiteralSet(a.post)
-            survivors = _surviving(survivors, post_set, scenario)
-            if not survivors:
-                return survivors
-    return survivors
 
 
 def _matching_keys(a: ActionInstance, instances: Sequence[NormInstance]):

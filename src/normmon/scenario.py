@@ -11,8 +11,9 @@ from __future__ import annotations
 import hashlib
 import json
 import re
-from dataclasses import dataclass, field, replace
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass, field
+from itertools import combinations
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 import jsonschema
 
@@ -24,8 +25,11 @@ from .logic import (
     IntegrityRule,
     Literal,
     StaticFacts,
+    atom_text,
     eval_constraint,
     is_variable,
+    literal_text,
+    unify,
 )
 
 _ATOM_RE = re.compile(r"^\s*(-?)\s*([A-Za-z_][\w]*)\s*(?:\(\s*([^()]*)\s*\))?\s*$")
@@ -60,15 +64,6 @@ def parse_constraint(text: str) -> Constraint:
     return (left, rel, right)
 
 
-def atom_text(atom: Atom) -> str:
-    return atom[0] if len(atom) == 1 else f"{atom[0]}({','.join(atom[1:])})"
-
-
-def literal_text(literal: Literal) -> str:
-    atom, sign = literal
-    return atom_text(atom) if sign else "-" + atom_text(atom)
-
-
 def constraint_text(c: Constraint) -> str:
     return f"{c[0]}{c[1]}{c[2]}"
 
@@ -93,7 +88,6 @@ SCENARIO_SCHEMA = {
         "statics": {"type": "array", "items": {"type": "string"}},
         "initial_state": {"type": "array", "items": {"type": "string"}},
         "dynamic_atoms": {"type": "array", "items": {"type": "string"}},
-        "decomposable": {"type": "boolean"},
         "rules": {
             "type": "array",
             "items": {
@@ -176,7 +170,6 @@ class Scenario:
     norms: Tuple[object, ...]
     observability: Dict
     dynamic_atoms: Tuple[Atom, ...] = ()
-    decomposable: bool = False
 
     _by_name: Dict[str, ActionDescription] = field(default_factory=dict, repr=False)
 
@@ -265,6 +258,31 @@ class Scenario:
         self._ground_cache[agent] = result
         return result
 
+    @property
+    def decomposable(self) -> bool:
+        """Whether no two agents' actions can interact, so that every tuple
+        of per-agent candidate actions is a joint solution. True iff each
+        dynamic atom of a ground action's pre or post belongs to one agent's
+        ground actions only, no ground action has a concurrency condition,
+        and no integrity rule can match atoms of two different agents.
+        Derived on first use and cached."""
+        if not hasattr(self, "_decomposable"):
+            self._decomposable = self._derive_decomposable()
+        return self._decomposable
+
+    def _derive_decomposable(self) -> bool:
+        owner: Dict[Atom, str] = {}
+        owned: Set[Tuple[str, Literal]] = set()
+        for agent in self.agents:
+            for a in self.ground_actions(agent):
+                if a.con:
+                    return False
+                for lit in a.pre | a.post:
+                    if owner.setdefault(lit[0], agent) != agent:
+                        return False
+                    owned.add((agent, lit))
+        return not any(_joins_two_agents(rule, owned) for rule in self.rules)
+
     def non_nop_descriptions(self) -> List[ActionDescription]:
         return [d for d in self.descriptions if not d.is_nop]
 
@@ -299,10 +317,33 @@ class Scenario:
                 visit(atom, f"norm {n.id}")
 
 
+def _joins_two_agents(rule: IntegrityRule, owned: Set[Tuple[str, Literal]]) -> bool:
+    """Can the rule body match literals of two different agents at once?
+    Tried for every pair of body positions, in both agent orders; a
+    constraint already false under the pair's bindings rules a match out."""
+    for (first, first_sign), (second, second_sign) in combinations(rule.literals, 2):
+        for agent, (atom, sign) in owned:
+            sigma = unify(first, atom) if sign == first_sign else None
+            if sigma is None:
+                continue
+            for other, (other_atom, other_sign) in owned:
+                if other == agent or other_sign != second_sign:
+                    continue
+                both = unify(second, other_atom, sigma)
+                if both is not None and all(
+                    eval_constraint(c, both) is not False for c in rule.constraints
+                ):
+                    return True
+    return False
+
+
 def scenario_from_dict(data: Dict) -> Scenario:
     from .norms import Norm  # local import to avoid a cycle
 
-    jsonschema.validate(data, SCENARIO_SCHEMA)
+    try:
+        jsonschema.validate(data, SCENARIO_SCHEMA)
+    except jsonschema.ValidationError as exc:
+        raise ScenarioError(f"scenario does not fit the schema: {exc.message}") from None
     statics = StaticFacts(parse_atom(t)[0] for t in data["statics"])
     rules = tuple(
         IntegrityRule(
@@ -358,11 +399,17 @@ def scenario_from_dict(data: Dict) -> Scenario:
         norms=tuple(norms),
         observability=dict(data["observability"]),
         dynamic_atoms=tuple(parse_atom(t)[0] for t in data.get("dynamic_atoms", ())),
-        decomposable=data.get("decomposable", False),
     )
-    for n in scenario.norms:
-        if n.action.name not in scenario._by_name:
-            raise ScenarioError(f"norm {n.id} controls unknown action {n.action.name!r}")
+    refs = [(f"norm {n.id}", n.action) for n in scenario.norms]
+    refs += [(f"action {d.name}", ref) for d in scenario.descriptions for ref in d.con]
+    for where, ref in refs:
+        d = scenario._by_name.get(ref.name)
+        if d is None:
+            raise ScenarioError(f"{where} refers to unknown action {ref.name!r}")
+        if len(ref.params) != len(d.params):
+            raise ScenarioError(
+                f"{where}: {atom_text(ref.pattern())} does not fit the parameters of {d.name}"
+            )
     return scenario
 
 
@@ -373,7 +420,6 @@ def scenario_to_dict(s: Scenario) -> Dict:
         "statics": sorted(atom_text(a) for a in s.statics.atoms),
         "initial_state": sorted(atom_text(a) for a in s.initial_state),
         "dynamic_atoms": sorted(atom_text(a) for a in s.dynamic_atoms),
-        "decomposable": s.decomposable,
         "rules": [
             {
                 "body": [literal_text(l) for l in r.literals],

@@ -13,16 +13,10 @@ import json
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .actions import ActionInstance
+from .logic import atom_text
 from .monitor import NormMonitor, TickRecord
 from .norms import Verdict
-from .scenario import (
-    Scenario,
-    atom_text,
-    constraint_text,
-    parse_atom,
-    parse_constraint,
-    scenario_hash,
-)
+from .scenario import Scenario, constraint_text, parse_atom, scenario_hash
 
 TRACE_FORMAT = "normmon-trace/1"
 
@@ -47,13 +41,16 @@ def _verdict_dict(v: Verdict) -> Dict:
 
 
 def _verdict_key(d: Dict) -> Tuple:
+    """A total order on verdict dicts; a missing culprit sorts first."""
+    culprit = d.get("culprit")
     return (
         d["norm"],
         d["action"],
         tuple(sorted(d.get("constraints", []))),
         d["status"],
         d["mode"],
-        d.get("culprit"),
+        culprit is not None,
+        culprit or "",
     )
 
 
@@ -65,7 +62,10 @@ def record_dict(
         "observed": [_action_text(a) for a in record.observed],
         "reconstructed": [_action_text(a) for a in record.reconstructed],
         "discovered": [_action_text(a) for a in record.discovered],
-        "verdicts": [_verdict_dict(v) for v in record.verdicts],
+        # The monitor emits verdicts in an order that can follow set
+        # iteration, so they are written sorted to keep trace bytes
+        # independent of the hash seed.
+        "verdicts": sorted((_verdict_dict(v) for v in record.verdicts), key=_verdict_key),
     }
     if executed is not None:
         data["executed"] = [_action_text(a) for a in executed]

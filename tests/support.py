@@ -9,6 +9,7 @@ import itertools
 import random
 from typing import Dict, List
 
+import normmon.monitor as monitor
 import normmon.reconstruction as reconstruction
 from normmon.harness import (
     GroundTruthLog,
@@ -56,26 +57,34 @@ def _incomplete_ticks(scenario: Scenario, log: GroundTruthLog) -> List[int]:
 
 
 class _Recorder:
-    """Wraps the two reconstruction searches and records, per call, what the
-    soundness properties need: the consistent joint solutions of the full
-    search and the per-agent candidate table of the approximate one."""
+    """Wraps the monitor's full reconstruction and the approximate search and
+    records, per call, what the soundness properties need: the consistent
+    joint solutions of each incomplete tick and the per-agent candidate
+    table of the approximate route.
+
+    The full route may take its product-form shortcut and never search, so
+    the reference solution set is computed here, by ``search`` plus
+    ``check_solution_consistency`` on copies of the states after folding the
+    observed actions in, for every incomplete tick of either form."""
 
     def __init__(self):
         self.full_calls = []
         self.approx_calls = []
-        self._search = reconstruction.search
+        self._full = monitor.full_reconstruct
         self._approx = reconstruction.approximate_search
 
     def __enter__(self):
-        def search_spy(scenario, i, f, observed, targets, cap=reconstruction.DEFAULT_SOLUTION_CAP):
-            sols, cap_hit = self._search(scenario, i, f, observed, targets, cap)
+        def full_spy(scenario, i, f, observed, targets, cap=reconstruction.DEFAULT_SOLUTION_CAP):
+            i2, f2 = i.copy(), f.copy()
+            reconstruction._fold_observed(scenario, i2, f2, observed)
+            sols, _ = reconstruction.search(scenario, i2, f2, observed, targets, cap)
             consistent = [
                 s
                 for s in sols
-                if check_solution_consistency(scenario, list(observed), s, i, f)
+                if check_solution_consistency(scenario, list(observed), s, i2, f2)
             ]
             self.full_calls.append((tuple(sorted(targets)), consistent))
-            return sols, cap_hit
+            return self._full(scenario, i, f, observed, targets, cap=cap)
 
         def approx_spy(scenario, i, f, targets):
             table, committed = self._approx(scenario, i, f, targets)
@@ -84,12 +93,12 @@ class _Recorder:
             )
             return table, committed
 
-        reconstruction.search = search_spy
+        monitor.full_reconstruct = full_spy
         reconstruction.approximate_search = approx_spy
         return self
 
     def __exit__(self, *exc):
-        reconstruction.search = self._search
+        monitor.full_reconstruct = self._full
         reconstruction.approximate_search = self._approx
         return False
 
@@ -171,7 +180,7 @@ def run_soundness_suite(n_scenarios: int = 200) -> Dict:
         _check_tick_records(scenario, log, records, events, f"s{idx}/full", failures)
         full_calls += len(rec.full_calls)
         if len(rec.full_calls) != len(incomplete):
-            failures.append(f"s{idx}/full: {len(rec.full_calls)} searches for {len(incomplete)} incomplete ticks")
+            failures.append(f"s{idx}/full: {len(rec.full_calls)} reconstructions for {len(incomplete)} incomplete ticks")
         else:
             for t, (targets, consistent) in zip(incomplete, rec.full_calls):
                 true_joint = tuple(truth_by_tick[t][g] for g in targets)

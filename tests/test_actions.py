@@ -4,25 +4,14 @@ from normmon.actions import (
     InapplicableActionError,
     apply_concurrent,
     effects,
-    instantiate_full,
-    instantiate_partial,
     joint_post,
     joint_pre,
 )
-from normmon.logic import LiteralSet
+from normmon.harness import applicable_actions
 
 
 def applicable(fig1, state):
-    return {
-        agent: instantiate_full(
-            fig1.description("move"),
-            state,
-            fig1.statics,
-            fig1.dynamic_predicates,
-            actor=agent,
-        )
-        for agent in fig1.agents
-    }
+    return {agent: applicable_actions(fig1, agent, state) for agent in fig1.agents}
 
 
 class TestInstantiation:
@@ -37,21 +26,6 @@ class TestInstantiation:
             "r2": ["move(r2,d,a)", "move(r2,d,e)"],
             "r3": ["move(r3,e,a)", "move(r3,e,d)", "move(r3,e,f)"],
         }
-
-    def test_partial_state_blocks_only_known_violations(self, fig1):
-        # Only r1's position is known: r1 gets its two moves, the others none.
-        p = LiteralSet([(("in", "r1", "a"), True)])
-        d = fig1.description("move")
-        assert sorted(
-            str(a)
-            for a in instantiate_partial(
-                d, p, fig1.statics, fig1.dynamic_predicates, actor="r1"
-            )
-        ) == ["move(r1,a,b)", "move(r1,a,e)"]
-        assert (
-            instantiate_partial(d, p, fig1.statics, fig1.dynamic_predicates, actor="r2")
-            == []
-        )
 
 
 class TestJointActions:

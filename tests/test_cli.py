@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 from click.testing import CliRunner
@@ -6,6 +9,8 @@ from click.testing import CliRunner
 from normmon.cli import CSV_HEADER, main
 
 from conftest import FIG1, RUNNING_EXAMPLE_TRACE
+
+SRC = os.path.abspath(os.path.join(os.path.dirname(__file__), "..", "src"))
 
 
 @pytest.fixture
@@ -61,6 +66,23 @@ class TestCaseStudy:
             assert result.exit_code == 0, result.output
             outs.append((out.read_bytes(), trace.read_bytes()))
         assert outs[0] == outs[1]
+
+    def test_output_bytes_do_not_depend_on_the_hash_seed(self, tmp_path):
+        outs = []
+        for hash_seed in ("1", "2", "3"):
+            out = tmp_path / f"{hash_seed}.csv"
+            trace = tmp_path / f"{hash_seed}.trace"
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=SRC)
+            args = ["--camera-ratio", "0.5", "--reps", "5", "--steps", "20", "--seed", "11"]
+            subprocess.run(
+                [sys.executable, "-m", "normmon.cli", "case-study", *args]
+                + ["--variant", "approximate", "--out", str(out), "--trace", str(trace)],
+                env=env,
+                check=True,
+                capture_output=True,
+            )
+            outs.append((out.read_bytes(), trace.read_bytes()))
+        assert outs[0] == outs[1] == outs[2]
 
     def test_missing_ratio_is_a_usage_error(self, runner):
         result = runner.invoke(main, ["case-study", "--reps", "1"])
@@ -149,6 +171,15 @@ class TestReplay:
         result = runner.invoke(main, ["replay", str(path), FIG1])
         assert result.exit_code == 1
         assert "tick 0" in result.output
+
+    def test_scenario_declaring_decomposable_is_a_usage_error(self, runner, tmp_path):
+        data = json.load(open(FIG1))
+        data["decomposable"] = True
+        path = tmp_path / "flagged.json"
+        path.write_text(json.dumps(data))
+        result = runner.invoke(main, ["replay", RUNNING_EXAMPLE_TRACE, str(path)])
+        assert result.exit_code == 2
+        assert "'decomposable' was unexpected" in result.output
 
     def test_hash_mismatch_is_refused(self, runner, tmp_path, fig1):
         lines = open(RUNNING_EXAMPLE_TRACE).read().splitlines()

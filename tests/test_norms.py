@@ -1,3 +1,5 @@
+import dataclasses
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -10,8 +12,6 @@ from normmon.norms import (
     VIOLATED,
     Norm,
     judge,
-    judge_obligation,
-    judge_prohibition,
     instance_matches,
     relevant_instances,
     relevant_instances_closed,
@@ -75,8 +75,8 @@ class TestJudging:
     def test_obligation_and_prohibition_are_mirror_images(
         self, fig1, n_observed, agent_count
     ):
-        # For every instance and action set, swapping the deontic modality
-        # swaps fulfilled and violated and preserves unknown.
+        # For every instance and action set, replacing the norm's deontic
+        # modality swaps fulfilled and violated and preserves unknown.
         swap = {FULFILLED: VIOLATED, VIOLATED: FULFILLED, UNKNOWN: UNKNOWN}
         schemas = [
             ("move", "r1", "a", "b"),
@@ -92,8 +92,12 @@ class TestJudging:
         acts = [Fake(s) for s in schemas[:n_observed]]
         insts = collision_instances(fig1, [(("in", "r1", "a"), True)])
         for instance in insts:
-            p_verdict = judge_prohibition(instance, acts, agent_count)
-            o_verdict = judge_obligation(instance, acts, agent_count)
+            assert instance.norm.deontic == PROHIBITION
+            mirrored = dataclasses.replace(
+                instance, norm=dataclasses.replace(instance.norm, deontic=OBLIGATION)
+            )
+            p_verdict = judge(instance, acts, agent_count)
+            o_verdict = judge(mirrored, acts, agent_count)
             assert o_verdict == swap[p_verdict]
 
 

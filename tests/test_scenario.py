@@ -1,9 +1,11 @@
 import itertools
 import json
+import random
 
 import pytest
 
 from normmon.actions import ground_instance
+from normmon.harness import CaseStudyConfig, generate_case_study
 from normmon.logic import eval_constraint, subst_atom
 from normmon.scenario import (
     ScenarioError,
@@ -65,6 +67,53 @@ class TestRoundTrip:
         data["norms"][0]["deontic"] = "Q"
         with pytest.raises(Exception):
             scenario_from_dict(data)
+
+    def test_declared_decomposable_flag_rejected(self, fig1):
+        data = scenario_to_dict(fig1)
+        data["decomposable"] = True
+        with pytest.raises(ScenarioError, match="'decomposable' was unexpected"):
+            scenario_from_dict(data)
+
+    def test_norm_action_with_wrong_arity_rejected(self, fig1):
+        data = scenario_to_dict(fig1)
+        data["norms"][0]["action"] = "move(R2,L2)"
+        with pytest.raises(ScenarioError, match="does not fit"):
+            scenario_from_dict(data)
+
+    def test_concurrency_condition_on_unknown_action_rejected(self, fig1):
+        data = scenario_to_dict(fig1)
+        data["action_descriptions"][0]["con"] = [{"schema": "fly(Z)", "positive": True}]
+        with pytest.raises(ScenarioError, match="unknown action 'fly'"):
+            scenario_from_dict(data)
+
+
+class TestDecomposable:
+    def test_office_scenarios_are_decomposable(self, fig1):
+        assert fig1.decomposable
+        for idx in range(10):
+            cfg = CaseStudyConfig(camera_ratio=idx / 10)
+            assert generate_case_study(cfg, random.Random(idx)).decomposable
+
+    def test_dynamic_atom_shared_by_two_agents(self, fig1):
+        data = scenario_to_dict(fig1)
+        # visited(a) is a postcondition of r1's and of r2's moves into a.
+        data["action_descriptions"][0]["post"].append("visited(O2)")
+        assert not scenario_from_dict(data).decomposable
+
+    def test_concurrency_condition(self, fig1):
+        data = scenario_to_dict(fig1)
+        data["action_descriptions"][0]["con"] = [{"schema": "nop(S)", "positive": False}]
+        assert not scenario_from_dict(data).decomposable
+
+    def test_rule_matching_two_agents_atoms(self, fig1):
+        data = scenario_to_dict(fig1)
+        data["rules"].append({"body": ["in(R1,O)", "in(R2,O)"], "constraints": ["R1!=R2"]})
+        assert not scenario_from_dict(data).decomposable
+
+    def test_rule_whose_constraint_rules_out_two_agents(self, fig1):
+        data = scenario_to_dict(fig1)
+        data["rules"].append({"body": ["in(R1,O)", "in(R2,O)"], "constraints": ["R1=R2"]})
+        assert scenario_from_dict(data).decomposable
 
 
 class TestGroundActions:
