@@ -229,8 +229,208 @@ def _match_body(
     return False
 
 
-def rule_fires(rule: IntegrityRule, state: LiteralSet, statics: StaticFacts) -> bool:
-    return _match_body(rule, 0, {}, state, statics)
+# The literal that would complete a rule of two body literals once a ground
+# literal has taken the other body position, as (predicate, sign, atom
+# length, need, same, constraints): ``need`` lists (position, constant) for
+# the positions the rule or the ground literal fixes; ``same`` lists
+# (position, earlier position) for a variable repeated among the others;
+# each constraint is (position, relation, a constant or another position).
+Partner = Tuple[str, bool, int, Tuple, Tuple, Tuple]
+
+# In place of a literal's partners: it fires a rule alone or with statics.
+_FIRES = "fires"
+
+
+def _completes(atom: Atom, partner: Partner) -> bool:
+    """Does the ground atom (of the partner's predicate and sign) fill the
+    partner position?"""
+    _, _, length, need, same, constraints = partner
+    if len(atom) != length:
+        return False
+    if any(atom[q] != c for q, c in need) or any(atom[q] != atom[p] for q, p in same):
+        return False
+    for q, rel, other in constraints:
+        value = atom[other] if isinstance(other, int) else other
+        if (atom[q] == value) != (rel == "="):
+            return False
+    return True
+
+
+class _Probe:
+    """One body position of a rule of at most two body literals, compiled so
+    that a ground literal placed there yields its partner (or that the rule
+    fires on it alone) without unification."""
+
+    __slots__ = ("length", "fixed", "same", "partner", "terms", "constraints")
+
+    def __init__(self, rule: IntegrityRule, position: int):
+        pattern, _ = rule.literals[position]
+        self.length = len(pattern)
+        self.fixed: List[Tuple[int, str]] = []
+        self.same: List[Tuple[int, int]] = []
+        own: Dict[str, int] = {}  # variable -> its first position here
+        for p, term in enumerate(pattern[1:], 1):
+            if not is_variable(term):
+                self.fixed.append((p, term))
+            elif term in own:
+                self.same.append((p, own[term]))
+            else:
+                own[term] = p
+        free: Dict[str, int] = {}  # variable -> its first position over there
+        other: Atom = ()
+        self.partner: Optional[Tuple[str, bool, int]] = None
+        if len(rule.literals) == 2:
+            other, other_sign = rule.literals[1 - position]
+            self.partner = (other[0], other_sign, len(other))
+            for q, term in enumerate(other[1:], 1):
+                if is_variable(term) and term not in own:
+                    free.setdefault(term, q)
+
+        def side(term: str) -> Tuple[str, object]:
+            if not is_variable(term):
+                return ("c", term)
+            if term in own:
+                return ("own", own[term])
+            return ("free", free[term])
+
+        # The other literal's terms and the constraints' sides, each as
+        # ("c", constant), ("own", position here) or ("free", position there).
+        self.terms = [side(term) for term in other[1:]]
+        self.constraints = [(side(l), rel, side(r)) for l, rel, r in rule.constraints]
+
+    def partner_for(self, atom: Atom):
+        """None if the atom does not fit this position or a constraint then
+        fails, ``_FIRES`` if the rule fires on the atom alone, else the
+        :data:`Partner` that completes the rule."""
+        if len(atom) != self.length:
+            return None
+        if any(atom[p] != c for p, c in self.fixed) or any(atom[p] != atom[q] for p, q in self.same):
+            return None
+
+        def value(side):  # a constant, or the position of a free variable
+            kind, x = side
+            return atom[x] if kind == "own" else x
+
+        constraints = []
+        for left, rel, right in self.constraints:
+            lv, rv = value(left), value(right)
+            if left[0] != "free" and right[0] != "free":
+                if (lv == rv) != (rel == "="):
+                    return None
+                continue
+            if left[0] != "free":
+                lv, rv = rv, lv
+            constraints.append((lv, rel, rv))
+        if self.partner is None:
+            return _FIRES
+        need, same = [], []
+        for q, (kind, x) in enumerate(self.terms, 1):
+            if kind != "free":
+                need.append((q, value((kind, x))))
+            elif x != q:
+                same.append((q, x))
+        return self.partner + (tuple(need), tuple(same), tuple(constraints))
+
+
+class CompiledRules(tuple):
+    """Integrity rules compiled against one set of static facts; a scenario
+    compiles its rules once.
+
+    With at most two body literals per rule, consistency is pairwise: a
+    consistent set stays consistent once literals are added exactly when no
+    added literal meets its complement, fires a rule alone or with a static
+    fact, or meets a partner literal, in the set or among the additions,
+    that completes a rule. What an added ground literal needs for that is
+    worked out on its first check and kept, so later checks are dict and set
+    lookups against the set's per-predicate index. Rules with more body
+    literals go through the backtracking join of ``_match_body``.
+    """
+
+    def __new__(cls, rules: Iterable[IntegrityRule], statics: StaticFacts):
+        self = super().__new__(cls, rules)
+        self.statics = statics
+        # (predicate, sign) -> probes of the body positions it can take
+        self._probes: Dict[Tuple[str, bool], List[_Probe]] = {}
+        # rules of three or more body literals: (body literal, rest of the rule)
+        self._joins: List[Tuple[Literal, IntegrityRule]] = []
+        # ground literal -> _FIRES, or (ground partners, open partners with
+        # their verdict per atom seen), filled on first check
+        self._needs: Dict[Literal, object] = {}
+        for rule in self:
+            literals = rule.literals
+            if len(literals) > 2:
+                for i, literal in enumerate(literals):
+                    rest = IntegrityRule(literals[:i] + literals[i + 1 :], rule.constraints)
+                    self._joins.append((literal, rest))
+                continue
+            bound = {t for atom, _ in literals for t in atom[1:] if is_variable(t)}
+            sides = {t for c in rule.constraints for t in (c[0], c[2]) if is_variable(t)}
+            if not sides <= bound:
+                continue  # a constraint over an unbound variable never holds
+            for i, (pattern, sign) in enumerate(literals):
+                self._probes.setdefault((pattern[0], sign), []).append(_Probe(rule, i))
+        return self
+
+    def held_by_statics(self) -> List[IntegrityRule]:
+        """Rules whose bodies the static facts alone satisfy. No set of
+        literals is consistent with such a rule, and the incremental check,
+        which looks only at matches that use an added literal, cannot see
+        it, so scenarios reject these rules."""
+        empty = LiteralSet()
+        return [rule for rule in self if _match_body(rule, 0, {}, empty, self.statics)]
+
+    def _needs_of(self, literal: Literal):
+        atom, sign = literal
+        ground: Set[Literal] = set()
+        open_: Dict[Partner, Dict[Atom, bool]] = {}
+        for probe in self._probes.get((atom[0], sign), ()):
+            partner = probe.partner_for(atom)
+            if partner is None:
+                continue
+            if partner is _FIRES:
+                return _FIRES
+            pred, partner_sign, length, need = partner[:4]
+            if partner_sign and any(_completes(s, partner) for s in self.statics.with_pred(pred)):
+                return _FIRES
+            if len(need) == length - 1:
+                ground.add(((pred,) + tuple(c for _, c in need), partner_sign))
+            else:
+                open_.setdefault(partner, {})
+        return tuple(ground), tuple(open_.items())
+
+    def admits(self, base: LiteralSet, added: Dict[Atom, bool]) -> bool:
+        """Does ``base`` (assumed consistent) stay consistent with ``added``,
+        literals that neither contradict nor repeat it nor each other?"""
+        for literal in added.items():
+            needs = self._needs.get(literal)
+            if needs is None:
+                needs = self._needs[literal] = self._needs_of(literal)
+            if needs is _FIRES:
+                return False
+            ground, open_ = needs
+            for atom, sign in ground:
+                if base.signs.get(atom) == sign or added.get(atom) == sign:
+                    return False
+            for partner, verdicts in open_:
+                pred, sign = partner[0], partner[1]
+                candidates = [a for a, s in added.items() if s == sign and a[0] == pred]
+                candidates.extend(base.with_pred(pred, sign))
+                for atom in candidates:
+                    hit = verdicts.get(atom)
+                    if hit is None:
+                        hit = verdicts[atom] = _completes(atom, partner)
+                    if hit:
+                        return False
+        for (pattern, sign), rest in self._joins:
+            # Seed the join with each added literal in each body position;
+            # bodies entirely inside the consistent base cannot fire.
+            for atom, asign in added.items():
+                if asign != sign or atom[0] != pattern[0]:
+                    continue
+                sigma = unify(pattern, atom)
+                if sigma is not None and _match_body(rest, 0, sigma, base, self.statics, added):
+                    return False
+        return True
 
 
 def is_consistent(
@@ -238,15 +438,9 @@ def is_consistent(
     statics: StaticFacts,
     rules: Sequence[IntegrityRule],
 ) -> bool:
-    """False iff the set has a complementary pair or some rule body fires."""
-    state = LiteralSet()
-    for lit in literals:
-        atom, sign = lit
-        prev = state.sign(atom)
-        if prev is not None and prev != sign:
-            return False
-        state.add(lit)
-    return not any(rule_fires(r, state, statics) for r in rules)
+    """False iff the set has a complementary pair or some rule body fires
+    on it. The same check as :func:`consistent_with` from an empty state."""
+    return consistent_with(LiteralSet(), literals, statics, rules)
 
 
 def consistent_with(
@@ -255,36 +449,24 @@ def consistent_with(
     statics: StaticFacts,
     rules: Sequence[IntegrityRule],
 ) -> bool:
-    """Incremental variant: is ``base`` (assumed consistent) still consistent
+    """Incremental check: is ``base`` (assumed consistent) still consistent
     once ``additions`` are asserted? Only interactions involving the added
-    literals are checked."""
+    literals are checked. Rules compiled against ``statics``, as a
+    scenario's are, are used as they are; others are compiled for the call."""
+    known = base.signs
     added: Dict[Atom, bool] = {}
     for atom, sign in additions:
-        prev = base.sign(atom)
-        if prev is not None and prev != sign:
-            return False
-        if atom in added and added[atom] != sign:
-            return False
+        prev = known.get(atom)
         if prev is None:
-            added[atom] = sign
-    if not added:
+            if added.setdefault(atom, sign) != sign:
+                return False
+        elif prev != sign:
+            return False
+    if not added or not rules:
         return True
-    for rule in rules:
-        # Seed the match with each added literal in each body position;
-        # bodies entirely inside the consistent base cannot fire.
-        for i, (pattern, sign) in enumerate(rule.literals):
-            for atom, asign in added.items():
-                if asign != sign or atom[0] != pattern[0]:
-                    continue
-                sigma = unify(pattern, atom)
-                if sigma is None:
-                    continue
-                rest = IntegrityRule(
-                    rule.literals[:i] + rule.literals[i + 1 :], rule.constraints
-                )
-                if _match_body(rest, 0, sigma, base, statics, extra=added):
-                    return False
-    return True
+    if not (isinstance(rules, CompiledRules) and rules.statics is statics):
+        rules = CompiledRules(rules, statics)
+    return rules.admits(base, added)
 
 
 def satisfies(

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import FrozenSet, List, Optional, Sequence, Tuple
+from typing import FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from .actions import ActionInstance, effects, joint_post, joint_pre
 from .logic import Literal, LiteralSet, consistent_with
@@ -65,15 +65,14 @@ class TickRecord:
     reconstruction_seconds: float = field(default=0.0, compare=False)
 
 
-def invariant_literals(p: LiteralSet, acts: Sequence[ActionInstance], scenario: Scenario) -> List[Literal]:
-    """Literals of p not modified by a fully observed concurrent action."""
-    if not acts:
-        return list(p.literals())
-    eff = LiteralSet(effects(acts, scenario.statics, scenario.rules))
+def invariant_literals(p: LiteralSet, eff: Set[Literal], scenario: Scenario) -> List[Literal]:
+    """Literals of p not modified by a fully observed concurrent action
+    with effects ``eff``."""
+    eff_set = LiteralSet(eff)
     return [
         lit
         for lit in p.literals()
-        if consistent_with(eff, [lit], scenario.statics, scenario.rules)
+        if consistent_with(eff_set, [lit], scenario.statics, scenario.rules)
     ]
 
 
@@ -221,9 +220,10 @@ class NormMonitor:
         acts = self._validate(observed)
         nxt = LiteralSet(joint_post(acts))
         if len(acts) == len(self.scenario.agents):
-            for lit in invariant_literals(self.curr, acts, self.scenario):
+            eff = effects(acts, self.scenario.statics, self.scenario.rules)
+            for lit in invariant_literals(self.curr, eff, self.scenario):
                 nxt.add(lit)
-            for lit in effects(acts, self.scenario.statics, self.scenario.rules):
+            for lit in eff:
                 nxt.add(lit)
         self.curr.assume(sorted(joint_pre(acts)))
         record = self._close_previous()

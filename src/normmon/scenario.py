@@ -21,6 +21,7 @@ from .actions import ActionDescription, ActionInstance, SchemaRef, ground_instan
 from .logic import (
     ArityError,
     Atom,
+    CompiledRules,
     Constraint,
     IntegrityRule,
     Literal,
@@ -175,6 +176,7 @@ class Scenario:
 
     def __post_init__(self):
         self._by_name = {d.name: d for d in self.descriptions}
+        self.rules = CompiledRules(self.rules, self.statics)
         self._check_arities()
 
     @property
@@ -400,6 +402,10 @@ def scenario_from_dict(data: Dict) -> Scenario:
         observability=dict(data["observability"]),
         dynamic_atoms=tuple(parse_atom(t)[0] for t in data.get("dynamic_atoms", ())),
     )
+    for rule in scenario.rules.held_by_statics():
+        body = [literal_text(l) for l in rule.literals]
+        body += [constraint_text(c) for c in rule.constraints]
+        raise ScenarioError(f"rule {', '.join(body)} holds on the static facts alone")
     refs = [(f"norm {n.id}", n.action) for n in scenario.norms]
     refs += [(f"action {d.name}", ref) for d in scenario.descriptions for ref in d.con]
     for where, ref in refs:

@@ -1,7 +1,13 @@
-from hypothesis import given, settings
+import itertools
+import random
+
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from normmon import actions, logic, monitor, reconstruction
+from normmon.harness import CaseStudyConfig, generate_case_study, simulate
 from normmon.logic import (
+    CompiledRules,
     IntegrityRule,
     LiteralSet,
     StaticFacts,
@@ -11,6 +17,9 @@ from normmon.logic import (
     subst_atom,
     unify,
 )
+from normmon.monitor import VARIANTS, NormMonitor
+from normmon.reconstruction import candidate_actions
+from normmon.scenario import scenario_from_dict, scenario_to_dict
 
 NO_STATICS = StaticFacts(())
 
@@ -84,6 +93,60 @@ RULE = IntegrityRule(
 )
 
 
+def reference_consistent_with(base, additions, statics, rules):
+    """Brute force: False iff base plus additions has a complementary pair
+    or some rule body matches literals of base, additions and (positive)
+    static facts with every constraint true. Agrees with the incremental
+    check whenever base and the statics are consistent on their own."""
+    merged = dict(base.signs)
+    for atom, sign in additions:
+        if merged.setdefault(atom, sign) != sign:
+            return False
+    pool = list(merged.items()) + [(atom, True) for atom in statics.atoms]
+    for rule in rules:
+        rows = [
+            [atom for atom, s in pool if s == sign and atom[0] == pattern[0]]
+            for pattern, sign in rule.literals
+        ]
+        for combo in itertools.product(*rows):
+            sigma = {}
+            for (pattern, _), atom in zip(rule.literals, combo):
+                sigma = unify(pattern, atom, sigma)
+                if sigma is None:
+                    break
+            else:
+                if all(eval_constraint(c, sigma) is True for c in rule.constraints):
+                    return False
+    return True
+
+
+def _rule(*body, constraints=()):
+    return IntegrityRule(tuple(body), tuple(constraints))
+
+
+# One rule per shape the compiled checker distinguishes; s/1 is static.
+RULE_SHAPES = {
+    "office": RULE,
+    "one literal": _rule((("p", "X", "X"), True)),
+    "static partner": _rule((("q", "X"), True), (("s", "X"), True), constraints=[("X", "!=", "b")]),
+    "equality": _rule((("p", "X", "Y"), True), (("in", "Z", "Z"), True), constraints=[("Y", "=", "Z")]),
+    "negative literal": _rule((("q", "X"), True), (("p", "X", "a"), False)),
+    "three literals": _rule((("p", "X", "Y"), True), (("q", "Y"), True), (("in", "X", "Y"), False)),
+}
+
+# Two constants, so that literals often meet. Fixed arities except p,
+# which also turns up with the wrong one.
+few = st.sampled_from(["a", "b"])
+shape_atoms = st.one_of(
+    st.tuples(st.just("p"), few, few),
+    st.tuples(st.just("p"), few),
+    st.tuples(st.just("q"), few),
+    st.tuples(st.just("in"), few, few),
+    st.tuples(st.just("s"), few),
+)
+shape_literals = st.tuples(shape_atoms, st.booleans())
+
+
 class TestConsistency:
     def test_rule_rejects_two_positions(self):
         lits = [(("in", "r1", "a"), True), (("in", "r1", "b"), True)]
@@ -108,12 +171,101 @@ class TestConsistency:
         rules = [RULE]
         state = LiteralSet([(a, True) for a in base])
         added = [(a, True) for a in extra]
-        if not is_consistent(list(state.literals()), NO_STATICS, rules):
+        if not reference_consistent_with(LiteralSet(), state.literals(), NO_STATICS, rules):
             return
-        merged = list(state.literals()) + added
-        assert consistent_with(state, added, NO_STATICS, rules) == is_consistent(
-            merged, NO_STATICS, rules
+        assert consistent_with(state, added, NO_STATICS, rules) == reference_consistent_with(
+            state, added, NO_STATICS, rules
         )
+
+    @given(
+        st.lists(st.sampled_from(sorted(RULE_SHAPES)), min_size=1, max_size=3, unique=True),
+        st.lists(st.sampled_from([("s", "a"), ("s", "b")]), max_size=2),
+        st.lists(shape_literals, max_size=8),
+        st.lists(st.lists(shape_literals, max_size=4), min_size=1, max_size=4),
+    )
+    @settings(max_examples=500, deadline=None)
+    # A partner that is ground and among the additions only.
+    @example(["static partner"], [], [], [[(("q", "a"), True), (("s", "a"), True)]])
+    # A partner whose free variable repeats: in(a,b) is no in(Z,Z).
+    @example(["equality"], [], [(("in", "a", "b"), True)], [[(("p", "b", "a"), True)]])
+    # A candidate partner of the wrong length: p(a) is no p(X,Y).
+    @example(["equality"], [], [(("p", "a"), True)], [[(("in", "a", "a"), True)]])
+    # A static partner, and one the constraint X!=b rules out.
+    @example(["static partner"], [("s", "a"), ("s", "b")], [], [[(("q", "a"), True)], [(("q", "b"), True)]])
+    # A constant in the body: -p(b,b) is no -p(X,a).
+    @example(["negative literal"], [], [(("q", "b"), True)], [[(("p", "b", "b"), False)]])
+    def test_compiled_check_agrees_with_brute_force(self, shapes, statics, base, queries):
+        rules = [RULE_SHAPES[name] for name in shapes]
+        statics = StaticFacts(statics)
+        compiled = CompiledRules(rules, statics)
+        # Keep the base consistent, as the incremental check assumes.
+        state = LiteralSet()
+        for literal in base:
+            if reference_consistent_with(state, [literal], statics, rules):
+                state.add(literal)
+        # One compiled set across the queries, so literals checked before
+        # are answered from what was kept.
+        for additions in queries:
+            expected = reference_consistent_with(state, additions, statics, rules)
+            assert consistent_with(state, additions, statics, compiled) == expected
+            assert consistent_with(state, additions, statics, rules) == expected
+
+    def test_is_consistent_is_the_check_from_an_empty_state(self):
+        rules = [RULE_SHAPES["static partner"], RULE_SHAPES["one literal"]]
+        statics = StaticFacts([("s", "a")])
+        for lits in ([(("q", "a"), True)], [(("p", "b", "b"), True)], [(("q", "b"), True)]):
+            assert is_consistent(lits, statics, rules) == consistent_with(
+                LiteralSet(), lits, statics, rules
+            )
+            assert is_consistent(lits, statics, rules) == reference_consistent_with(
+                LiteralSet(), lits, statics, rules
+            )
+
+    def test_three_literal_rule_takes_the_join(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(logic, "unify", lambda *a: calls.append(a) or unify(*a))
+        rules = [RULE_SHAPES["three literals"]]
+        state = LiteralSet([(("q", "b"), True), (("in", "a", "b"), False)])
+        assert not consistent_with(state, [(("p", "a", "b"), True)], NO_STATICS, rules)
+        assert calls
+
+    def test_compiled_rules_skip_unify(self, fig1, monkeypatch):
+        # A scenario fresh from its file, so nothing is kept from other tests.
+        scenario = scenario_from_dict(scenario_to_dict(fig1))
+        for agent in scenario.agents:
+            scenario.ground_actions(agent)
+        i = LiteralSet(
+            [(atom, atom in scenario.initial_state) for atom in scenario.dynamic_atoms]
+        )
+        f = LiteralSet([(("in", "r1", "b"), True), (("in", "r3", "a"), True)])
+        calls = []
+        monkeypatch.setattr(logic, "unify", lambda *a: calls.append(a) or unify(*a))
+        rows = {t: candidate_actions(scenario, t, i, f) for t in ("r2", "r3")}
+        # The rule pruned r3's moves into offices other than a.
+        assert [str(a) for a in rows["r3"]] == ["move(r3,e,a)"]
+        assert len(rows["r2"]) == 2
+        assert calls == []
+
+
+def test_monitor_records_match_the_brute_force_checker(monkeypatch):
+    """Whole runs on small office scenarios, each variant once with the
+    compiled checker and once with the brute-force reference in its place."""
+    runs = []
+    for idx in range(8):
+        cfg = CaseStudyConfig(offices_max=5, robots_max=3, camera_ratio=(idx % 4) / 4, steps=20)
+        rng = random.Random(idx)
+        scenario = generate_case_study(cfg, rng)
+        runs.append((scenario, simulate(scenario, cfg.steps, rng)))
+    compiled = [
+        [NormMonitor(s, variant=v).run(log.observed) for v in VARIANTS] for s, log in runs
+    ]
+    for module in (logic, actions, reconstruction, monitor):
+        monkeypatch.setattr(module, "consistent_with", reference_consistent_with)
+    reference = [
+        [NormMonitor(s, variant=v).run(log.observed) for v in VARIANTS] for s, log in runs
+    ]
+    assert compiled == reference
+    assert sum(len(r.reconstructed) for per_run in compiled for rs in per_run for r in rs) > 20
 
 
 class TestLiteralSet:

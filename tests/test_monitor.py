@@ -1,5 +1,6 @@
 import pytest
 
+from normmon import monitor as monitor_module
 from normmon.monitor import (
     APPROXIMATE,
     EMPTY,
@@ -48,6 +49,18 @@ class TestStateEvolution:
         assert monitor.curr.sign(("in", "r2", "a")) is True
         assert monitor.curr.sign(("in", "r3", "a")) is True
         assert monitor.curr.sign(("in", "r1", "a")) is False
+
+    def test_fully_observed_tick_computes_its_effects_once(self, fig1, inst, monkeypatch):
+        calls = []
+        effects = monitor_module.effects
+        monkeypatch.setattr(
+            monitor_module, "effects", lambda *a: calls.append(a) or effects(*a)
+        )
+        monitor = NormMonitor(fig1, variant=TRADITIONAL)
+        monitor.advance(
+            [inst("move(r1,a,b)"), inst("move(r2,d,a)"), inst("move(r3,e,a)")]
+        )
+        assert len(calls) == 1
 
     def test_empty_initial_knowledge(self, fig1, observations):
         monitor = NormMonitor(fig1, variant=FULL, initial_knowledge=EMPTY)

@@ -80,6 +80,16 @@ class TestRoundTrip:
         with pytest.raises(ScenarioError, match="does not fit"):
             scenario_from_dict(data)
 
+    def test_rule_the_statics_alone_satisfy_rejected(self, fig1):
+        # No set of literals is consistent with it; the incremental check
+        # would never notice.
+        data = scenario_to_dict(fig1)
+        data["rules"].append({"body": ["robot(R)", "office(O)"], "constraints": ["R!=O"]})
+        with pytest.raises(ScenarioError, match="holds on the static facts alone"):
+            scenario_from_dict(data)
+        data["rules"][-1]["constraints"] = ["R=O"]
+        scenario_from_dict(data)
+
     def test_concurrency_condition_on_unknown_action_rejected(self, fig1):
         data = scenario_to_dict(fig1)
         data["action_descriptions"][0]["con"] = [{"schema": "fly(Z)", "positive": True}]
