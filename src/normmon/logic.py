@@ -13,8 +13,9 @@ forward chaining is performed.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Collection, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 Atom = Tuple[str, ...]
 Literal = Tuple[Atom, bool]
@@ -237,7 +238,8 @@ def _match_body(
 # each constraint is (position, relation, a constant or another position).
 Partner = Tuple[str, bool, int, Tuple, Tuple, Tuple]
 
-# In place of a literal's partners: it fires a rule alone or with statics.
+# In place of a literal's partners: it fires a rule alone, with itself in
+# both body positions, or with a static fact.
 _FIRES = "fires"
 
 
@@ -379,6 +381,46 @@ class CompiledRules(tuple):
         empty = LiteralSet()
         return [rule for rule in self if _match_body(rule, 0, {}, empty, self.statics)]
 
+    @property
+    def pairwise(self) -> bool:
+        """There are rules, and none has three or more body literals, so
+        every clash is between two literals (see :meth:`clashes`). Without
+        rules a clash is a complement only, which the per-literal check
+        finds at once."""
+        return bool(self) and not self._joins
+
+    def fires(self, literal: Literal) -> bool:
+        """Is the ground literal inconsistent on its own: does it fire a rule
+        alone, with itself in both body positions, or with a static fact?"""
+        return self._needs_for(literal) is _FIRES
+
+    def clashes(self, literal: Literal, state: LiteralSet) -> Iterator[Literal]:
+        """The literals of ``state`` that clash with a ground literal: its
+        complement, and each partner that completes a rule with it. With
+        pairwise rules a literal that does not fire is consistent with a
+        consistent set exactly when it clashes with none of its literals."""
+        atom, sign = literal
+        if state.signs.get(atom) == (not sign):
+            yield (atom, not sign)
+        ground, open_ = self._needs_for(literal)
+        for partner in ground:
+            if partner in state:
+                yield partner
+        for partner, verdicts in open_:
+            pred, partner_sign = partner[0], partner[1]
+            for other in state.with_pred(pred, partner_sign):
+                hit = verdicts.get(other)
+                if hit is None:
+                    hit = verdicts[other] = _completes(other, partner)
+                if hit:
+                    yield (other, partner_sign)
+
+    def _needs_for(self, literal: Literal):
+        needs = self._needs.get(literal)
+        if needs is None:
+            needs = self._needs[literal] = self._needs_of(literal)
+        return needs
+
     def _needs_of(self, literal: Literal):
         atom, sign = literal
         ground: Set[Literal] = set()
@@ -390,6 +432,8 @@ class CompiledRules(tuple):
             if partner is _FIRES:
                 return _FIRES
             pred, partner_sign, length, need = partner[:4]
+            if (pred, partner_sign) == (atom[0], sign) and _completes(atom, partner):
+                return _FIRES
             if partner_sign and any(_completes(s, partner) for s in self.statics.with_pred(pred)):
                 return _FIRES
             if len(need) == length - 1:
@@ -464,9 +508,81 @@ def consistent_with(
             return False
     if not added or not rules:
         return True
-    if not (isinstance(rules, CompiledRules) and rules.statics is statics):
-        rules = CompiledRules(rules, statics)
-    return rules.admits(base, added)
+    return _compiled(rules, statics).admits(base, added)
+
+
+def _compiled(rules: Sequence[IntegrityRule], statics: StaticFacts) -> CompiledRules:
+    """Rules compiled against ``statics``, as a scenario's are, as they are;
+    others compiled for the call."""
+    if isinstance(rules, CompiledRules) and rules.statics is statics:
+        return rules
+    return CompiledRules(rules, statics)
+
+
+def survivors(
+    state: LiteralSet,
+    base: Collection[Literal],
+    post_sets: Iterable[Iterable[Literal]],
+    statics: StaticFacts,
+    rules: Sequence[IntegrityRule],
+) -> List[Literal]:
+    """The literals of ``state`` (assumed consistent) each consistent with
+    ``base`` plus every one of ``post_sets`` in turn, or with ``base`` alone
+    when there are none; each of those unions is assumed consistent. Kept in
+    the order of ``state``.
+
+    With pairwise rules a literal survives exactly when it clashes with no
+    literal of ``base`` or of any post set, so the check runs from the other
+    side: each distinct literal of those sets collects what it kills in
+    ``state`` through the state's per-predicate index. A rule of three or
+    more body literals, or a literal that fires a rule on its own, sends the
+    rest of the check through :func:`consistent_with`, one literal of
+    ``state`` at a time."""
+    rules = _compiled(rules, statics)
+    if not rules.pairwise:
+        return _survivors_one_by_one(state.literals(), base, post_sets, statics, rules)
+    killed: Set[Literal] = set()
+    walked: Set[Literal] = set()
+
+    def kill(literals: Iterable[Literal]) -> bool:
+        fresh = set(literals)
+        fresh -= walked
+        if any(rules.fires(l) for l in fresh):
+            return False
+        walked.update(fresh)
+        for literal in fresh:
+            killed.update(rules.clashes(literal, state))
+        return True
+
+    if not kill(base):
+        return _survivors_one_by_one(state.literals(), base, post_sets, statics, rules)
+    post_sets = iter(post_sets)
+    for post in post_sets:
+        if not kill(post):
+            kept = [l for l in state.literals() if l not in killed]
+            rest = itertools.chain([post], post_sets)
+            return _survivors_one_by_one(kept, base, rest, statics, rules)
+    return [l for l in state.literals() if l not in killed]
+
+
+def _survivors_one_by_one(
+    kept: Iterable[Literal],
+    base: Collection[Literal],
+    post_sets: Iterable[Iterable[Literal]],
+    statics: StaticFacts,
+    rules: CompiledRules,
+) -> List[Literal]:
+    """:func:`survivors` with one :func:`consistent_with` check per literal
+    and set."""
+    known = LiteralSet(base)
+    kept = [l for l in kept if consistent_with(known, [l], statics, rules)]
+    for post in post_sets:
+        if not kept:
+            break
+        extra = known.assume(post)
+        kept = [l for l in kept if consistent_with(known, [l], statics, rules)]
+        known.retract(extra)
+    return kept
 
 
 def satisfies(

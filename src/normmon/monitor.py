@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from .actions import ActionInstance, effects, joint_post, joint_pre
-from .logic import Literal, LiteralSet, consistent_with
+from .logic import Literal, LiteralSet, consistent_with, survivors
 from .norms import (
     DISCOVERED,
     IDENTIFIED,
@@ -22,6 +22,7 @@ from .norms import (
     PROHIBITION,
     UNKNOWN,
     VIOLATED,
+    NormInstance,
     Verdict,
     instance_matches,
     judge,
@@ -61,6 +62,7 @@ class TickRecord:
     state_snapshot: FrozenSet[Literal]
     cap_hit: bool = False
     no_completion: bool = False
+    reconstruction_ran: bool = False  # the monitor reconstructed this tick
     # A timing, not a conclusion: left out of record equality.
     reconstruction_seconds: float = field(default=0.0, compare=False)
 
@@ -68,12 +70,7 @@ class TickRecord:
 def invariant_literals(p: LiteralSet, eff: Set[Literal], scenario: Scenario) -> List[Literal]:
     """Literals of p not modified by a fully observed concurrent action
     with effects ``eff``."""
-    eff_set = LiteralSet(eff)
-    return [
-        lit
-        for lit in p.literals()
-        if consistent_with(eff_set, [lit], scenario.statics, scenario.rules)
-    ]
+    return survivors(p, eff, (), scenario.statics, scenario.rules)
 
 
 def check_norms(
@@ -82,8 +79,10 @@ def check_norms(
     acts: Sequence[ActionInstance],
     discovered: Sequence[Tuple[ActionInstance, str]],
     born_at: int,
+    instances: Optional[Sequence[NormInstance]] = None,
 ) -> Tuple[Verdict, ...]:
-    """Judge every norm instance relevant in p against the tick's actions.
+    """Judge every norm instance relevant in p against the tick's actions;
+    ``instances`` are those instances when the caller has them already.
 
     Definite judgements come out as identified verdicts; each
     (action, status) pair of the discovered set yields a discovered verdict
@@ -92,7 +91,8 @@ def check_norms(
     modality, which it was not discovered under. Unknown judgements produce
     nothing.
     """
-    instances = relevant_instances(scenario.norms, p, scenario.statics, born_at=born_at)
+    if instances is None:
+        instances = relevant_instances(scenario.norms, p, scenario.statics, born_at=born_at)
     verdicts: List[Verdict] = []
     for inst in instances:
         status = judge(inst, acts, len(scenario.agents))
@@ -178,7 +178,7 @@ class NormMonitor:
             )
         else:
             outcome, acts = approximate_reconstruct(
-                self.scenario, self.prev, self.curr, acts, targets
+                self.scenario, self.prev, self.curr, acts, targets, born_at=self.tick - 1
             )
         return outcome, acts, time.perf_counter() - start
 
@@ -191,7 +191,8 @@ class NormMonitor:
         observed = tuple(acts)
         outcome = ReconstructionOutcome((), ())
         elapsed = 0.0
-        if self.variant != TRADITIONAL and len(acts) < len(self.scenario.agents):
+        ran = self.variant != TRADITIONAL and len(acts) < len(self.scenario.agents)
+        if ran:
             outcome, acts, elapsed = self._reconstruct(acts)
         verdicts = check_norms(
             self.scenario,
@@ -199,6 +200,7 @@ class NormMonitor:
             acts,
             list(zip(outcome.discovered, outcome.discovered_statuses)),
             born_at=self.tick - 1,
+            instances=outcome.instances,
         )
         return TickRecord(
             tick=self.tick - 1,
@@ -209,6 +211,7 @@ class NormMonitor:
             state_snapshot=self.prev.snapshot(),
             cap_hit=outcome.cap_hit,
             no_completion=outcome.no_completion,
+            reconstruction_ran=ran,
             reconstruction_seconds=elapsed,
         )
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .actions import (
     ActionInstance,
@@ -22,7 +22,7 @@ from .actions import (
     joint_post,
     joint_pre,
 )
-from .logic import Literal, LiteralSet, consistent_with
+from .logic import Literal, LiteralSet, consistent_with, survivors
 from .norms import (
     FULFILLED,
     NormInstance,
@@ -55,6 +55,9 @@ class ReconstructionOutcome:
     candidate_counts: Dict[str, int] = field(default_factory=dict)
     cap_hit: bool = False
     no_completion: bool = False  # empty solution set / empty candidate row
+    # The norm instances relevant in the updated initial state, when the
+    # route computed them (the approximate one does), for the norm check.
+    instances: Optional[Tuple[NormInstance, ...]] = None
 
 
 def action_fits(
@@ -71,7 +74,26 @@ def candidate_actions(
     scenario: Scenario, agent: str, i: LiteralSet, f: LiteralSet
 ) -> List[ActionInstance]:
     """All ground non-NOP actions of one agent consistent with (i, f)."""
-    return [a for a in scenario.ground_actions(agent) if action_fits(a, i, f, scenario)]
+    return _fitting(scenario, scenario.coherent_actions(agent), i, f)
+
+
+def _fitting(
+    scenario: Scenario, actions: Sequence[ActionInstance], i: LiteralSet, f: LiteralSet
+) -> List[ActionInstance]:
+    """The coherent actions (``Scenario.coherent_actions``) that fit (i, f),
+    in their order. With pairwise rules such an action fits exactly when no
+    literal of its pre clashes with i and none of its post with f, so each
+    distinct literal is decided once."""
+    rules = scenario.rules
+    if not rules.pairwise:
+        return [a for a in actions if action_fits(a, i, f, scenario)]
+
+    def misfits(literals: Iterable[Literal], state: LiteralSet) -> Set[Literal]:
+        return {l for l in literals if any(rules.clashes(l, state))}
+
+    bad_pre = misfits(frozenset().union(*[a.pre for a in actions]), i)
+    bad_post = misfits(frozenset().union(*[a.post for a in actions]), f)
+    return [a for a in actions if bad_pre.isdisjoint(a.pre) and bad_post.isdisjoint(a.post)]
 
 
 def check_solution_consistency(
@@ -187,18 +209,6 @@ def search(
     return solutions, cap_hit
 
 
-def _surviving(
-    literals: Iterable[Literal],
-    against: LiteralSet,
-    scenario: Scenario,
-) -> List[Literal]:
-    return [
-        l
-        for l in literals
-        if consistent_with(against, [l], scenario.statics, scenario.rules)
-    ]
-
-
 def _extended_invariants(
     scenario: Scenario,
     i: LiteralSet,
@@ -208,15 +218,7 @@ def _extended_invariants(
     """Literals of i that neither the known actions nor any possible
     completion can have changed: each consistent with the known
     postconditions plus every one of the post sets in turn."""
-    base = LiteralSet(joint_post(acts))
-    survivors = _surviving(list(i.literals()), base, scenario)
-    for post in post_sets:
-        if not survivors:
-            break
-        extra = base.assume(post)
-        survivors = _surviving(survivors, base, scenario)
-        base.retract(extra)
-    return survivors
+    return survivors(i, joint_post(acts), post_sets, scenario.statics, scenario.rules)
 
 
 def _commit(
@@ -242,7 +244,7 @@ def _commit(
         f.assume(extended)
     else:
         eff = effects(acts, scenario.statics, scenario.rules)
-        f.assume(_surviving(list(i.literals()), LiteralSet(eff), scenario))
+        f.assume(survivors(i, eff, (), scenario.statics, scenario.rules))
         _assume_checked(scenario, f, eff, "final", "joint effects")
     return acts
 
@@ -316,26 +318,27 @@ def approximate_search(
 
     A singleton candidate row commits immediately: its pre/post extend i
     and f, the agent leaves the target set, and every remaining row is
-    recomputed, possibly cascading further commitments. Mutates i and f.
-    Returns (table, committed agents in commit order).
+    filtered again, possibly cascading further commitments. The states only
+    grow, so an action that did not fit before does not fit now: the rows
+    are refiltered, not built again. Mutates i and f. Returns (table,
+    committed agents in commit order).
     """
     remaining = sorted(targets)
     table: Dict[str, List[ActionInstance]] = {t: [] for t in remaining}
+    rows = {t: candidate_actions(scenario, t, i, f) for t in remaining}
     committed: List[str] = []
-    progress = True
-    while progress and remaining:
-        progress = False
-        rows = {t: candidate_actions(scenario, t, i, f) for t in remaining}
-        for t in list(remaining):
-            if len(rows[t]) == 1:
-                table[t] = rows[t]
-                _assume_action(scenario, i, f, rows[t][0], "committed action")
-                remaining.remove(t)
-                committed.append(t)
-                progress = True
-        if not progress:
-            for t in remaining:
-                table[t] = rows[t]
+    while True:
+        singles = [t for t in remaining if len(rows[t]) == 1]
+        if not singles:
+            break
+        for t in singles:
+            table[t] = rows[t]
+            _assume_action(scenario, i, f, rows[t][0], "committed action")
+            remaining.remove(t)
+            committed.append(t)
+        rows = {t: _fitting(scenario, rows[t], i, f) for t in remaining}
+    for t in remaining:
+        table[t] = rows[t]
     return table, committed
 
 
@@ -345,6 +348,7 @@ def approximate_reconstruct(
     f: LiteralSet,
     observed: Sequence[ActionInstance],
     targets: Iterable[str],
+    born_at: int = -1,
 ) -> Tuple[ReconstructionOutcome, List[ActionInstance]]:
     """Polynomial reconstruction plus the discovered-verdict set.
 
@@ -353,7 +357,8 @@ def approximate_reconstruct(
     left with several candidates, all of which are forbidden (resp.
     mandatory), yield one representative action in the discovered set: the
     monitor knows some instance was violated (fulfilled) without knowing
-    which action was executed.
+    which action was executed. The norm instances relevant in the updated
+    i, born at ``born_at``, go into the outcome for the norm check.
     """
     targets = sorted(targets)
     acts = sorted(observed, key=lambda a: a.schema)
@@ -371,7 +376,7 @@ def approximate_reconstruct(
         post_sets = (a.post for row in table.values() for a in row)
         acts = _commit(scenario, i, f, acts, reconstructed, post_sets)
 
-    instances = relevant_instances(scenario.norms, i, scenario.statics)
+    instances = relevant_instances(scenario.norms, i, scenario.statics, born_at=born_at)
     prohibitions = [n for n in instances if n.norm.deontic == PROHIBITION]
     obligations = [n for n in instances if n.norm.deontic == OBLIGATION]
     discovered: List[ActionInstance] = []
@@ -392,6 +397,7 @@ def approximate_reconstruct(
         discovered_statuses=tuple(statuses),
         candidate_counts=counts,
         no_completion=no_completion,
+        instances=tuple(instances),
     )
     return outcome, acts
 

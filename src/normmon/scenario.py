@@ -28,6 +28,7 @@ from .logic import (
     StaticFacts,
     atom_text,
     eval_constraint,
+    is_consistent,
     is_variable,
     literal_text,
     unify,
@@ -259,6 +260,22 @@ class Scenario:
         result = tuple(sorted(out, key=lambda a: a.schema))
         self._ground_cache[agent] = result
         return result
+
+    def coherent_actions(self, agent: str) -> Tuple[ActionInstance, ...]:
+        """The ground actions of one agent whose preconditions and whose
+        postconditions are each consistent on their own; no consistent
+        partial state admits any other. Decided once per scenario."""
+        if not hasattr(self, "_coherent_cache"):
+            self._coherent_cache: Dict[str, Tuple[ActionInstance, ...]] = {}
+        cached = self._coherent_cache.get(agent)
+        if cached is None:
+            cached = self._coherent_cache[agent] = tuple(
+                a
+                for a in self.ground_actions(agent)
+                if is_consistent(a.pre, self.statics, self.rules)
+                and is_consistent(a.post, self.statics, self.rules)
+            )
+        return cached
 
     @property
     def decomposable(self) -> bool:

@@ -229,7 +229,7 @@ class TestCriterion7CostAsymmetry:
                 ).run(log.observed)
                 seconds[variant] += sum(r.reconstruction_seconds for r in records)
                 ticks[variant] += sum(
-                    1 for r in records if r.reconstruction_seconds > 0
+                    1 for r in records if r.reconstruction_ran
                 )
         full_ms = 1000.0 * seconds["full"] / max(ticks["full"], 1)
         approx_ms = 1000.0 * seconds["approximate"] / max(ticks["approximate"], 1)

@@ -15,6 +15,7 @@ from normmon.logic import (
     eval_constraint,
     is_consistent,
     subst_atom,
+    survivors,
     unify,
 )
 from normmon.monitor import VARIANTS, NormMonitor
@@ -229,6 +230,14 @@ class TestConsistency:
         assert not consistent_with(state, [(("p", "a", "b"), True)], NO_STATICS, rules)
         assert calls
 
+    def test_literal_that_completes_a_rule_with_itself_fires(self):
+        rules = [_rule((("p", "X"), True), (("p", "Y"), True))]
+        compiled = CompiledRules(rules, NO_STATICS)
+        assert compiled.fires((("p", "a"), True))
+        assert not compiled.fires((("p", "a"), False))
+        assert not is_consistent([(("p", "a"), True)], NO_STATICS, compiled)
+        assert not reference_consistent_with(LiteralSet(), [(("p", "a"), True)], NO_STATICS, rules)
+
     def test_compiled_rules_skip_unify(self, fig1, monkeypatch):
         # A scenario fresh from its file, so nothing is kept from other tests.
         scenario = scenario_from_dict(scenario_to_dict(fig1))
@@ -245,6 +254,108 @@ class TestConsistency:
         assert [str(a) for a in rows["r3"]] == ["move(r3,e,a)"]
         assert len(rows["r2"]) == 2
         assert calls == []
+
+
+def _consistent_part(literals, statics, rules, base=()):
+    """The literals, in order, that keep ``base`` plus those kept so far
+    consistent (by brute force); returns only the kept ones."""
+    union = LiteralSet(base)
+    kept = []
+    for literal in literals:
+        if reference_consistent_with(union, [literal], statics, rules):
+            union.add(literal)
+            kept.append(literal)
+    return kept
+
+
+def per_literal_survivors(state, base, post_sets, statics, rules):
+    """Each literal of the state checked on its own with ``consistent_with``
+    against the base, and against the base plus each post set."""
+    unions = [LiteralSet(base)] + [LiteralSet(list(base) + list(post)) for post in post_sets]
+    return [
+        literal
+        for literal in state.literals()
+        if all(consistent_with(union, [literal], statics, rules) for union in unions)
+    ]
+
+
+class TestSurvivors:
+    @given(
+        st.lists(st.sampled_from(sorted(RULE_SHAPES)), min_size=1, max_size=3, unique=True),
+        st.lists(st.sampled_from([("s", "a"), ("s", "b")]), max_size=2),
+        st.lists(shape_literals, max_size=10),
+        st.lists(shape_literals, max_size=4),
+        st.lists(st.lists(shape_literals, max_size=4), max_size=4),
+    )
+    @settings(max_examples=500, deadline=None)
+    # A post set's literal kills by complement, another's by a partner.
+    @example(
+        ["office"],
+        [],
+        [(("in", "a", "a"), True), (("in", "b", "a"), False)],
+        [],
+        [[(("in", "b", "a"), True)], [(("in", "a", "b"), True)]],
+    )
+    # A partner completed through a static fact's rule shape.
+    @example(["static partner"], [("s", "a")], [(("s", "b"), True)], [(("q", "b"), True)], [])
+    def test_survivors_agree_with_the_per_literal_check(
+        self, shapes, statics, state_literals, base_literals, posts
+    ):
+        rules = [RULE_SHAPES[name] for name in shapes]
+        statics = StaticFacts(statics)
+        compiled = CompiledRules(rules, statics)
+        state = LiteralSet(_consistent_part(state_literals, statics, rules))
+        base = _consistent_part(base_literals, statics, rules)
+        post_sets = [_consistent_part(post, statics, rules, base) for post in posts]
+        expected = per_literal_survivors(state, base, post_sets, statics, compiled)
+        # A generator of post sets, as the reconstruction routes pass them.
+        got = survivors(state, base, (p for p in post_sets), statics, compiled)
+        assert got == expected
+        assert compiled.pairwise == ("three literals" not in shapes)
+
+    @staticmethod
+    def _counting(monkeypatch):
+        calls = []
+        monkeypatch.setattr(
+            logic, "consistent_with", lambda *a: calls.append(a) or consistent_with(*a)
+        )
+        return calls
+
+    def test_pairwise_rules_make_no_per_literal_check(self, monkeypatch):
+        rules = CompiledRules([RULE], NO_STATICS)
+        state = LiteralSet([(("in", "r", "a"), True), (("in", "s", "a"), True)])
+        calls = self._counting(monkeypatch)
+        got = survivors(state, [(("in", "r", "b"), False)], [[(("in", "s", "b"), True)]], NO_STATICS, rules)
+        assert got == [(("in", "r", "a"), True)]
+        assert calls == []
+
+    def test_three_literal_rule_takes_the_per_literal_path(self, monkeypatch):
+        rules = CompiledRules([RULE_SHAPES["three literals"]], NO_STATICS)
+        state = LiteralSet([(("in", "a", "b"), False), (("q", "a"), True)])
+        base = [(("q", "b"), True)]
+        post_sets = [[(("p", "a", "b"), True)]]
+        expected = per_literal_survivors(state, base, post_sets, NO_STATICS, rules)
+        assert expected == [(("q", "a"), True)]
+        calls = self._counting(monkeypatch)
+        assert survivors(state, base, post_sets, NO_STATICS, rules) == expected
+        # Each literal of the state against the base, then with the post set.
+        assert len(calls) == 4
+
+    def test_literal_that_fires_sends_the_rest_per_literal(self, monkeypatch):
+        rules = [RULE_SHAPES["one literal"], RULE]
+        compiled = CompiledRules(rules, NO_STATICS)
+        state = LiteralSet(
+            [(("in", "r", "a"), True), (("q", "a"), True), (("p", "a", "b"), False)]
+        )
+        # The second post set holds p(c,c), which fires the one-literal rule.
+        post_sets = [[(("in", "r", "c"), True)], [(("p", "c", "c"), True), (("p", "a", "b"), True)]]
+        expected = per_literal_survivors(state, [], post_sets, NO_STATICS, compiled)
+        assert expected == [(("q", "a"), True)]
+        calls = self._counting(monkeypatch)
+        assert survivors(state, [], post_sets, NO_STATICS, compiled) == expected
+        # What the first post set left, checked per literal against the
+        # base and then with the second post set.
+        assert len(calls) == 4
 
 
 def test_monitor_records_match_the_brute_force_checker(monkeypatch):

@@ -1,11 +1,16 @@
+import random
+
 import pytest
 
 from normmon import monitor as monitor_module
+from normmon import reconstruction
+from normmon.harness import CaseStudyConfig, generate_case_study, simulate
 from normmon.monitor import (
     APPROXIMATE,
     EMPTY,
     FULL,
     TRADITIONAL,
+    VARIANTS,
     NormMonitor,
     SensorFault,
 )
@@ -119,6 +124,40 @@ class TestVerdicts:
         assert len(violated) == 1
         assert violated[0].instance.action == ("move", "R2", "L1", "a")
         assert violated[0].culprit == "r2"
+
+
+class TestReconstructingTicks:
+    def test_records_flag_the_ticks_that_reconstructed(self):
+        cfg = CaseStudyConfig(offices_max=5, robots_max=3, camera_ratio=0.5, steps=30)
+        rng = random.Random(3)
+        scenario = generate_case_study(cfg, rng)
+        log = simulate(scenario, cfg.steps, rng)
+        for variant in VARIANTS:
+            records = NormMonitor(scenario, variant=variant).run(log.observed)
+            for record in records:
+                expected = variant != TRADITIONAL and len(record.observed) < len(scenario.agents)
+                assert record.reconstruction_ran == expected
+                assert record.reconstruction_ran == (record.reconstruction_seconds > 0)
+            if variant != TRADITIONAL:
+                assert any(r.reconstruction_ran for r in records)
+
+    def test_approximate_tick_finds_the_relevant_instances_once(
+        self, fig1, observations, monkeypatch
+    ):
+        calls = []
+        for module in (monitor_module, reconstruction):
+            found = module.relevant_instances
+            monkeypatch.setattr(
+                module,
+                "relevant_instances",
+                lambda *a, found=found, **k: calls.append(a) or found(*a, **k),
+            )
+        records = NormMonitor(fig1, variant=APPROXIMATE).run(observations)
+        assert len(calls) == len(records)
+        assert records[0].reconstruction_ran
+        for record in records:
+            assert record.verdicts
+            assert all(v.instance.born_at == record.tick for v in record.verdicts)
 
 
 class TestSensorFaults:

@@ -11,14 +11,21 @@ from normmon.harness import (
     generate_random,
     simulate,
 )
+from normmon import logic, reconstruction
+from normmon.actions import joint_post
 from normmon.logic import LiteralSet
-from normmon.monitor import NormMonitor
+from normmon.monitor import VARIANTS, NormMonitor
 from normmon.reconstruction import (
+    _assume_action,
+    _extended_invariants,
+    action_fits,
     approximate_reconstruct,
+    approximate_search,
     candidate_actions,
     full_reconstruct,
     search,
 )
+from normmon.scenario import scenario_from_dict, scenario_to_dict
 
 
 def closed_state(scenario, truths):
@@ -87,6 +94,170 @@ class TestCandidates:
         }
 
 
+def _with_jump(scenario):
+    """The scenario plus an action whose precondition is inconsistent on its
+    own under the one-office rule: a robot in two offices at once."""
+    data = scenario_to_dict(scenario)
+    data["action_descriptions"].append(
+        {
+            "name": "jump",
+            "params": ["R", "O1", "O2"],
+            "actor": "R",
+            "pre": ["robot(R)", "office(O1)", "office(O2)", "in(R,O1)", "in(R,O2)"],
+            "constraints": ["O1!=O2"],
+            "con": [],
+            "post": ["in(R,O2)", "-in(R,O1)"],
+            "nop": False,
+        }
+    )
+    return scenario_from_dict(data)
+
+
+def _small_runs():
+    """Small office scenarios, each also with a self-inconsistent action,
+    and small random ones (no rules), with ground-truth runs."""
+    runs = []
+    for idx in range(6):
+        cfg = CaseStudyConfig(
+            offices_max=5, robots_max=3, camera_ratio=(idx % 3) / 3, steps=20
+        )
+        rng = random.Random(idx)
+        scenario = generate_case_study(cfg, rng)
+        if idx % 2:
+            scenario = _with_jump(scenario)
+        runs.append((scenario, simulate(scenario, cfg.steps, rng)))
+    for idx in range(4):
+        cfg = RandomConfig(agents=1, agents_max=4, actions=6, observation_probability=0.3, steps=20)
+        rng = random.Random(100 + idx)
+        scenario = generate_random(cfg, rng)
+        runs.append((scenario, simulate(scenario, cfg.steps, rng)))
+    return runs
+
+
+def _recomputing_fixpoint(scenario, i, f, targets):
+    """The approximate fixpoint building every row again from the ground
+    actions after each round of commits."""
+    remaining = sorted(targets)
+    table = {t: [] for t in remaining}
+    committed = []
+    progress = True
+    while progress and remaining:
+        progress = False
+        rows = {
+            t: [a for a in scenario.ground_actions(t) if action_fits(a, i, f, scenario)]
+            for t in remaining
+        }
+        for t in list(remaining):
+            if len(rows[t]) == 1:
+                table[t] = rows[t]
+                _assume_action(scenario, i, f, rows[t][0], "committed action")
+                remaining.remove(t)
+                committed.append(t)
+                progress = True
+        if not progress:
+            for t in remaining:
+                table[t] = rows[t]
+    return table, committed
+
+
+class TestPairwiseCore:
+    """The pairwise paths against the per-literal reference, on whole runs."""
+
+    def test_candidate_table_agrees_with_per_action_checks(self, monkeypatch):
+        calls = []
+        original = reconstruction.candidate_actions
+
+        def checked(scenario, agent, i, f):
+            row = original(scenario, agent, i, f)
+            reference = [
+                a for a in scenario.ground_actions(agent) if action_fits(a, i, f, scenario)
+            ]
+            assert row == reference
+            calls.append((scenario.rules.pairwise, len(row)))
+            return row
+
+        monkeypatch.setattr(reconstruction, "candidate_actions", checked)
+        jumps = 0
+        for scenario, log in _small_runs():
+            for agent in scenario.agents:
+                coherent = scenario.coherent_actions(agent)
+                jumping = [a for a in scenario.ground_actions(agent) if a.name == "jump"]
+                assert not set(coherent) & set(jumping)
+                jumps += len(jumping)
+            for variant in VARIANTS:
+                NormMonitor(scenario, variant=variant).run(log.observed)
+            # The generic full route builds its rows in search.
+            with monkeypatch.context() as m:
+                m.setattr(scenario, "_decomposable", False)
+                NormMonitor(scenario, variant="full").run(log.observed)
+        assert jumps > 0
+        assert sum(1 for pairwise, _ in calls if pairwise) > 200
+        assert sum(1 for pairwise, _ in calls if not pairwise) > 50
+
+    def test_refiltering_fixpoint_agrees_with_recomputing_every_round(self, monkeypatch):
+        rounds = []
+        original = reconstruction.approximate_search
+
+        def checked(scenario, i, f, targets):
+            i2, f2 = i.copy(), f.copy()
+            expected = _recomputing_fixpoint(scenario, i2, f2, targets)
+            table, committed = original(scenario, i, f, targets)
+            assert (table, committed) == expected
+            assert list(table) == list(expected[0])
+            assert (i.snapshot(), f.snapshot()) == (i2.snapshot(), f2.snapshot())
+            rounds.append(len(committed))
+            return table, committed
+
+        monkeypatch.setattr(reconstruction, "approximate_search", checked)
+        for scenario, log in _small_runs():
+            NormMonitor(scenario, variant="approximate").run(log.observed)
+        assert sum(1 for n in rounds if n > 1) > 10
+
+    def test_a_commit_cascades_through_a_refiltered_row(self, fig1):
+        # No two robots in one office: r3's only move, into b, leaves r2
+        # the move into e once r3 has committed.
+        data = scenario_to_dict(fig1)
+        data["rules"].append({"body": ["in(R1,O)", "in(R2,O)"], "constraints": ["R1!=R2"]})
+        crowded = scenario_from_dict(data)
+        i = closed_state(crowded, [("in", "r1", "d"), ("in", "r2", "a"), ("in", "r3", "c")])
+        f = LiteralSet([(("in", "r1", "a"), True), (("in", "r1", "d"), False)])
+        i2, f2 = i.copy(), f.copy()
+        assert len(candidate_actions(crowded, "r2", i, f)) == 2
+        table, committed = approximate_search(crowded, i, f, ["r2", "r3"])
+        assert committed == ["r3", "r2"]
+        assert [str(a) for a in table["r2"]] == ["move(r2,a,e)"]
+        assert (table, committed) == _recomputing_fixpoint(crowded, i2, f2, ["r2", "r3"])
+        assert (i.snapshot(), f.snapshot()) == (i2.snapshot(), f2.snapshot())
+
+    def test_extended_invariants_make_no_per_literal_check_on_pairwise_rules(
+        self, fig1, worked_example, monkeypatch
+    ):
+        i, f, observed, targets = worked_example
+        post_sets = [a.post for t in targets for a in candidate_actions(fig1, t, i, f)]
+        small = LiteralSet([l for l in i.literals() if l[1]])
+        assert len(small) < len(i)
+        counts, results = [], []
+        for state in (small, i):
+            calls = []
+            monkeypatch.setattr(
+                logic,
+                "consistent_with",
+                lambda *a, calls=calls, check=logic.consistent_with: calls.append(a) or check(*a),
+            )
+            results.append(_extended_invariants(fig1, state, observed, post_sets))
+            monkeypatch.undo()
+            counts.append(len(calls))
+        assert counts[0] == counts[1]
+        # The same literals as one consistent_with check per literal.
+        base = joint_post(observed)
+        unions = [LiteralSet(base)] + [LiteralSet(list(base) + list(p)) for p in post_sets]
+        assert results[1] == [
+            l
+            for l in i.literals()
+            if all(logic.consistent_with(u, [l], fig1.statics, fig1.rules) for u in unions)
+        ]
+
+
 class TestSearch:
     def test_two_solutions(self, fig1, worked_example):
         i, f, observed, targets = worked_example
@@ -149,7 +320,7 @@ class TestFullReconstruction:
                 m.setattr(scenario, "_decomposable", False)
                 generic = NormMonitor(scenario, variant="full").run(log.observed)
             assert _unordered(shortcut) == _unordered(generic)
-            reconstructing += sum(1 for r in shortcut if r.reconstruction_seconds > 0)
+            reconstructing += sum(1 for r in shortcut if r.reconstruction_ran)
         assert reconstructing > 100
 
 
