@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import FrozenSet, Iterable, Sequence, Set, Tuple
 
 from .logic import (
@@ -11,6 +12,7 @@ from .logic import (
     IntegrityRule,
     Literal,
     LiteralSet,
+    Matcher,
     StaticFacts,
     Substitution,
     consistent_with,
@@ -18,7 +20,6 @@ from .logic import (
     is_variable,
     subst_literal,
     subst_term,
-    unify,
 )
 
 
@@ -38,6 +39,10 @@ class SchemaRef:
     name: str
     params: Tuple[str, ...]
     positive: bool = True
+
+    @cached_property
+    def matcher(self) -> Matcher:  # compiled on first use; not a field
+        return Matcher(self.pattern())
 
     def pattern(self) -> Atom:
         return (self.name,) + self.params
@@ -121,13 +126,7 @@ def concurrent_condition_satisfied(a: ActionInstance, actions: Sequence[ActionIn
     negative refs exclude matches among the others (an action does not
     clash with its own negative schemata)."""
     for ref in a.con:
-        matched = any(
-            other is not a and unify(ref.pattern(), other.schema) is not None
-            for other in actions
-        )
-        if ref.positive and not matched:
-            return False
-        if not ref.positive and matched:
+        if any(other is not a and ref.matcher.matches(other.schema) for other in actions) != ref.positive:
             return False
     return True
 

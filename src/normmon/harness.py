@@ -13,7 +13,7 @@ from .actions import (
     apply_concurrent,
     concurrent_condition_satisfied,
 )
-from .logic import Atom, unify
+from .logic import Atom
 from .monitor import NormMonitor, TickRecord
 from .norms import (
     FULFILLED,
@@ -24,7 +24,7 @@ from .norms import (
     matching_actions,
     relevant_instances_closed,
 )
-from .scenario import Scenario, parse_atom, scenario_from_dict
+from .scenario import Scenario, scenario_from_dict
 
 # Derived-seed stride keeps repetition streams disjoint for any sane seed.
 _SEED_STRIDE = 1_000_003
@@ -240,13 +240,6 @@ def generate_random(cfg: RandomConfig, rng: random.Random) -> Scenario:
     return scenario_from_dict(data)
 
 
-def _nop_instance(scenario: Scenario, agent: str) -> ActionInstance:
-    d = scenario.nop_description()
-    if d is None:
-        raise ValueError("scenario lacks a NOP action; an agent is stuck")
-    return scenario.instance_from_schema((d.name, agent))
-
-
 def applicable_actions(scenario: Scenario, agent: str, state: Set[Atom]) -> List[ActionInstance]:
     """Non-NOP instances whose (dynamic) precondition holds in a full state."""
     return [
@@ -283,7 +276,7 @@ def step_world(
     agents = sorted(scenario.agents)
     options = {g: applicable_actions(scenario, g, state) for g in agents}
     choice = {
-        g: (rng.choice(opts) if opts else _nop_instance(scenario, g))
+        g: (rng.choice(opts) if opts else scenario.nop_instance(g))
         for g, opts in options.items()
     }
     for _ in range(10):
@@ -302,7 +295,7 @@ def step_world(
         if not offenders:
             break
         for g in sorted(offenders):
-            choice[g] = _nop_instance(scenario, g)
+            choice[g] = scenario.nop_instance(g)
     new = apply_concurrent(joint, state, scenario.statics, scenario.rules, scenario.agents)
     return joint, new
 
@@ -311,13 +304,12 @@ def observe(
     scenario: Scenario, executed: Sequence[ActionInstance], rng: random.Random
 ) -> List[ActionInstance]:
     mode = scenario.observability.get("mode")
-    patterns = [parse_atom(c)[0] for c in scenario.observability.get("cameras", ())]
     observed = []
     for a in sorted(executed, key=lambda x: (x.actor, x.schema)):
         if scenario.description(a.name).is_nop:
             observed.append(a)
         elif mode == "cameras":
-            if any(unify(p, a.schema) is not None for p in patterns):
+            if any(camera.matches(a.schema) for camera in scenario.cameras):
                 observed.append(a)
         else:
             if rng.random() < scenario.observability.get("probability", 1.0):
@@ -405,7 +397,10 @@ def score_run(
     the same tick and status whose offender is the verdict's culprit, so
     identified + discovered never exceeds the ground-truth total.
     """
-    events = oracle_events(scenario, log)
+    return _score(oracle_events(scenario, log), records)
+
+
+def _score(events: Sequence[GroundTruthEvent], records: Sequence[TickRecord]) -> RunScore:
     keys = {e.key() for e in events}
     credited: Set[Tuple] = set()
     score = RunScore(
@@ -492,8 +487,9 @@ def run_experiment(
         rng = random.Random(repetition_seed(cfg.seed, idx))
         scenario = generator(cfg, rng)
         log = simulate(scenario, cfg.steps, rng)
+        events = oracle_events(scenario, log)
         for variant in variants:
             records = run_monitor(scenario, log, variant, solution_cap=solution_cap)
-            metrics.add(variant, score_run(scenario, log, records))
+            metrics.add(variant, _score(events, records))
         metrics.runs += 1
     return metrics

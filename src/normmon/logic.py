@@ -81,6 +81,44 @@ def eval_constraint(constraint: Constraint, sigma: Substitution) -> Optional[boo
     return (lv == rv) if rel == "=" else (lv != rv)
 
 
+class Matcher:
+    """A pattern compiled into a name, a length and checks (position, equal,
+    position or constant): ``matches(g)`` is ``unify(pattern, g) is not
+    None`` with no constraint false, without unifying. A constraint over a
+    variable the pattern leaves unbound is never false, so it is dropped."""
+
+    __slots__ = ("name", "length", "first", "checks")
+
+    def __init__(self, pattern: Atom, constraints: Sequence[Constraint] = ()):
+        self.name, self.length = pattern[0], len(pattern)
+        first: Dict[str, int] = {}  # variable -> its first position
+        self.first = first
+        checks = []
+        for p, term in enumerate(pattern[1:], 1):
+            if is_variable(term) and term not in first:
+                first[term] = p
+            else:
+                checks.append((p, True, first.get(term, term)))
+        for left, rel, right in constraints:
+            l, r = first.get(left, left), first.get(right, right)
+            if l.__class__ is not int:
+                l, r = r, l
+            if l.__class__ is int:
+                if r.__class__ is int or not is_variable(r):
+                    checks.append((l, rel == "=", r))
+            elif not (is_variable(l) or is_variable(r)) and (l == r) != (rel == "="):
+                self.name = None  # false on constants alone: nothing matches
+        self.checks = tuple(checks)
+
+    def matches(self, ground: Atom) -> bool:
+        if ground[0] != self.name or len(ground) != self.length:
+            return False
+        for p, equal, x in self.checks:
+            if (ground[p] == (ground[x] if x.__class__ is int else x)) != equal:
+                return False
+        return True
+
+
 @dataclass(frozen=True)
 class IntegrityRule:
     """A rule body whose satisfaction entails falsum.
@@ -263,21 +301,12 @@ class _Probe:
     that a ground literal placed there yields its partner (or that the rule
     fires on it alone) without unification."""
 
-    __slots__ = ("length", "fixed", "same", "partner", "terms", "constraints")
+    __slots__ = ("fits", "partner", "terms", "constraints")
 
     def __init__(self, rule: IntegrityRule, position: int):
         pattern, _ = rule.literals[position]
-        self.length = len(pattern)
-        self.fixed: List[Tuple[int, str]] = []
-        self.same: List[Tuple[int, int]] = []
-        own: Dict[str, int] = {}  # variable -> its first position here
-        for p, term in enumerate(pattern[1:], 1):
-            if not is_variable(term):
-                self.fixed.append((p, term))
-            elif term in own:
-                self.same.append((p, own[term]))
-            else:
-                own[term] = p
+        self.fits = Matcher(pattern)
+        own = self.fits.first  # variable -> its first position here
         free: Dict[str, int] = {}  # variable -> its first position over there
         other: Atom = ()
         self.partner: Optional[Tuple[str, bool, int]] = None
@@ -304,9 +333,7 @@ class _Probe:
         """None if the atom does not fit this position or a constraint then
         fails, ``_FIRES`` if the rule fires on the atom alone, else the
         :data:`Partner` that completes the rule."""
-        if len(atom) != self.length:
-            return None
-        if any(atom[p] != c for p, c in self.fixed) or any(atom[p] != atom[q] for p, q in self.same):
+        if not self.fits.matches(atom):
             return None
 
         def value(side):  # a constant, or the position of a free variable

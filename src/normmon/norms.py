@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .actions import ActionInstance, SchemaRef
 from .logic import (
@@ -11,13 +11,13 @@ from .logic import (
     Constraint,
     Literal,
     LiteralSet,
+    Matcher,
     StaticFacts,
     atom_text,
     eval_constraint,
     satisfies,
     satisfies_closed,
     subst_term,
-    unify,
 )
 
 OBLIGATION = "O"
@@ -39,6 +39,8 @@ class Norm:
     constraints: Tuple[Constraint, ...]
     action: SchemaRef
     priority: int = 0  # declaration order by default; lower = more important
+    # Compiled instance actions by (action, residuals), shared across ticks.
+    matchers: Dict[Tuple, Matcher] = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.deontic not in (OBLIGATION, PROHIBITION):
@@ -49,7 +51,8 @@ class Norm:
 class NormInstance:
     """A norm whose condition matched; carries the (partially) instantiated
     controlled action. Variables not bound by the condition stay free and
-    are re-unified against concrete actions when judging."""
+    are matched, with the residual constraints, against concrete actions
+    when judging."""
 
     norm: Norm = field(compare=False)
     norm_id: str
@@ -122,10 +125,13 @@ def relevant_instances_closed(
 
 
 def instance_matches(inst: NormInstance, schema: Atom) -> bool:
-    sigma = unify(inst.action, schema)
-    if sigma is None:
+    if schema[0] != inst.action[0]:  # most schemas differ by name
         return False
-    return all(eval_constraint(c, sigma) is not False for c in inst.constraints)
+    key = (inst.action, inst.constraints)
+    matcher = inst.norm.matchers.get(key)
+    if matcher is None:
+        matcher = inst.norm.matchers[key] = Matcher(*key)
+    return matcher.matches(schema)
 
 
 def matching_actions(inst: NormInstance, acts: Iterable[ActionInstance]) -> List[ActionInstance]:

@@ -25,6 +25,7 @@ from .logic import (
     Constraint,
     IntegrityRule,
     Literal,
+    Matcher,
     StaticFacts,
     atom_text,
     eval_constraint,
@@ -160,6 +161,11 @@ SCENARIO_SCHEMA = {
     },
 }
 
+# Checked and built once; ``jsonschema.validate`` does both on every call.
+_VALIDATOR_CLASS = jsonschema.validators.validator_for(SCENARIO_SCHEMA)
+_VALIDATOR_CLASS.check_schema(SCENARIO_SCHEMA)
+_VALIDATOR = _VALIDATOR_CLASS(SCENARIO_SCHEMA)
+
 
 @dataclass
 class Scenario:
@@ -174,21 +180,18 @@ class Scenario:
     dynamic_atoms: Tuple[Atom, ...] = ()
 
     _by_name: Dict[str, ActionDescription] = field(default_factory=dict, repr=False)
+    # Derived from the fields above, once; never serialized.
+    dynamic_predicates: FrozenSet[str] = field(init=False, compare=False, repr=False)
+    cameras: Tuple[Matcher, ...] = field(init=False, compare=False, repr=False)
+    _nops: Dict[str, ActionInstance] = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         self._by_name = {d.name: d for d in self.descriptions}
         self.rules = CompiledRules(self.rules, self.statics)
+        posts = [atom for d in self.descriptions for atom, _ in d.post]
+        self.dynamic_predicates = frozenset(a[0] for a in posts + list(self.dynamic_atoms))
+        self.cameras = tuple(Matcher(parse_atom(c)[0]) for c in self.observability.get("cameras", ()))
         self._check_arities()
-
-    @property
-    def dynamic_predicates(self) -> FrozenSet[str]:
-        preds = set()
-        for d in self.descriptions:
-            for atom, _ in d.post:
-                preds.add(atom[0])
-        for atom in self.dynamic_atoms:
-            preds.add(atom[0])
-        return frozenset(preds)
 
     def description(self, name: str) -> ActionDescription:
         try:
@@ -202,6 +205,15 @@ class Scenario:
             raise ArityError(f"schema {schema} does not fit params of {d.name}")
         sigma = dict(zip(d.params, schema[1:]))
         return ground_instance(d, sigma, self.dynamic_predicates)
+
+    def nop_instance(self, agent: str) -> ActionInstance:
+        """The agent's NOP, built on first use and kept."""
+        if agent not in self._nops:
+            d = self.nop_description()
+            if d is None:
+                raise ValueError("scenario lacks a NOP action; an agent is stuck")
+            self._nops[agent] = self.instance_from_schema((d.name, agent))
+        return self._nops[agent]
 
     def constants(self) -> Tuple[str, ...]:
         if not hasattr(self, "_constants"):
@@ -359,10 +371,9 @@ def _joins_two_agents(rule: IntegrityRule, owned: Set[Tuple[str, Literal]]) -> b
 def scenario_from_dict(data: Dict) -> Scenario:
     from .norms import Norm  # local import to avoid a cycle
 
-    try:
-        jsonschema.validate(data, SCENARIO_SCHEMA)
-    except jsonschema.ValidationError as exc:
-        raise ScenarioError(f"scenario does not fit the schema: {exc.message}") from None
+    error = jsonschema.exceptions.best_match(_VALIDATOR.iter_errors(data))
+    if error is not None:
+        raise ScenarioError(f"scenario does not fit the schema: {error.message}")
     statics = StaticFacts(parse_atom(t)[0] for t in data["statics"])
     rules = tuple(
         IntegrityRule(

@@ -1,7 +1,9 @@
 import random
+import sys
 
 import pytest
 
+from normmon import logic
 from normmon.harness import (
     CaseStudyConfig,
     RandomConfig,
@@ -156,3 +158,34 @@ class TestExperiment:
         for variant in ("traditional", "approximate"):
             rate = m.pooled_rate(variant, "identified_violations", "gt_violations")
             assert 0.0 <= rate <= 100.0
+
+
+class TestMatchingSkipsUnify:
+    @pytest.mark.parametrize("kind", ["fig1", "office", "random"])
+    def test_simulate_and_oracle_make_no_unify_calls(self, fig1, kind, monkeypatch):
+        if kind == "fig1":
+            scenario = fig1
+        elif kind == "office":
+            _, scenario, _ = case_study(seed=2, camera_ratio=0.5)
+        else:
+            scenario = generate_random(RandomConfig(agents=4), random.Random(2))
+        # Grounding joins static preconditions once per scenario; warm it.
+        for agent in scenario.agents:
+            scenario.ground_actions(agent)
+        callers = []
+        original = logic.unify
+
+        def spy(*args):
+            callers.append(sys._getframe(1).f_code)
+            return original(*args)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("normmon") and getattr(module, "unify", None) is original:
+                monkeypatch.setattr(module, "unify", spy)
+        log = simulate(scenario, 30, random.Random(5))
+        assert callers == []
+        assert oracle_events(scenario, log)
+        # Norm conditions are still joined by unification, in the functions
+        # nested in satisfies_closed; matching instances to actions is not.
+        joins = {c for c in logic.satisfies_closed.__code__.co_consts if hasattr(c, "co_name")}
+        assert set(callers) <= joins

@@ -10,6 +10,7 @@ from normmon.logic import (
     CompiledRules,
     IntegrityRule,
     LiteralSet,
+    Matcher,
     StaticFacts,
     consistent_with,
     eval_constraint,
@@ -73,6 +74,43 @@ class TestUnify:
     @given(ground_atoms())
     def test_ground_atom_unifies_with_itself(self, ground):
         assert unify(ground, ground) == {}
+
+
+# Constraint sides: the pattern's variables, one it never has, constants.
+constraint_lists = st.lists(
+    st.tuples(
+        st.sampled_from(["X", "Y", "Z", "W", "a", "b"]),
+        st.sampled_from(["=", "!="]),
+        st.sampled_from(["X", "Y", "Z", "W", "a", "b"]),
+    ),
+    max_size=3,
+)
+
+
+class TestMatcher:
+    @given(patterns(), ground_atoms())
+    @example(("p", "X", "X"), ("p", "a", "a"))
+    @example(("p", "X", "X"), ("p", "a", "b"))
+    @example(("p", "a", "X"), ("p", "b", "a"))
+    @example(("p", "X"), ("p", "a", "b"))
+    @example(("p", "X"), ("q", "a"))
+    @example(("p",), ("p",))
+    @settings(max_examples=300)
+    def test_agrees_with_unify(self, pattern, ground):
+        assert Matcher(pattern).matches(ground) == (unify(pattern, ground) is not None)
+
+    @given(patterns(), ground_atoms(), constraint_lists)
+    @example(("p", "X", "Y"), ("p", "a", "a"), [("X", "!=", "Y")])
+    @example(("p", "X", "b"), ("p", "a", "b"), [("X", "=", "a")])
+    @example(("p", "X"), ("p", "a"), [("X", "!=", "W")])
+    @example(("p", "X"), ("p", "a"), [("a", "=", "b")])
+    @settings(max_examples=300)
+    def test_constraints_agree_with_eval_constraint(self, pattern, ground, constraints):
+        sigma = unify(pattern, ground)
+        expected = sigma is not None and all(
+            eval_constraint(c, sigma) is not False for c in constraints
+        )
+        assert Matcher(pattern, constraints).matches(ground) == expected
 
 
 class TestEvalConstraint:

@@ -1,9 +1,18 @@
 import dataclasses
+import random
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from normmon.logic import LiteralSet
+from normmon.actions import SchemaRef
+from normmon.harness import (
+    CaseStudyConfig,
+    RandomConfig,
+    generate_case_study,
+    generate_random,
+    simulate,
+)
+from normmon.logic import LiteralSet, eval_constraint, unify
 from normmon.norms import (
     FULFILLED,
     OBLIGATION,
@@ -11,6 +20,7 @@ from normmon.norms import (
     UNKNOWN,
     VIOLATED,
     Norm,
+    NormInstance,
     judge,
     instance_matches,
     relevant_instances,
@@ -99,6 +109,75 @@ class TestJudging:
             p_verdict = judge(instance, acts, agent_count)
             o_verdict = judge(mirrored, acts, agent_count)
             assert o_verdict == swap[p_verdict]
+
+
+def unified_match(action, constraints, schema):
+    """The matching rule of a norm instance, by unification."""
+    sigma = unify(action, schema)
+    return sigma is not None and all(
+        eval_constraint(c, sigma) is not False for c in constraints
+    )
+
+
+terms = st.sampled_from(["R", "L", "W", "r1", "a"])
+schema_patterns = st.builds(
+    lambda name, args: (name,) + tuple(args),
+    st.sampled_from(["move", "nop"]),
+    st.lists(terms, max_size=3),
+)
+ground_schemas = st.builds(
+    lambda name, args: (name,) + tuple(args),
+    st.sampled_from(["move", "nop"]),
+    st.lists(st.sampled_from(["r1", "r2", "a", "b"]), max_size=3),
+)
+residuals = st.lists(
+    st.tuples(terms, st.sampled_from(["=", "!="]), terms), max_size=2
+)
+
+
+class TestCompiledMatching:
+    @given(schema_patterns, residuals, ground_schemas)
+    @example(("move", "R", "L", "a"), [("r1", "!=", "R")], ("move", "r1", "b", "a"))
+    @example(("move", "R", "L", "a"), [("r1", "!=", "R")], ("move", "r2", "b", "a"))
+    @example(("move", "R", "R"), [], ("move", "r1", "r2"))
+    @example(("move", "R"), [("W", "=", "a")], ("move", "r1"))
+    @settings(max_examples=300)
+    def test_instance_matches_agrees_with_unify(self, fig1, action, constraints, schema):
+        instance = NormInstance(fig1.norms[0], "n", action, tuple(constraints))
+        assert instance_matches(instance, schema) == unified_match(action, constraints, schema)
+
+    @given(schema_patterns, ground_schemas)
+    def test_schema_ref_agrees_with_unify(self, pattern, schema):
+        ref = SchemaRef(pattern[0], pattern[1:])
+        assert ref.matcher.matches(schema) == (unify(pattern, schema) is not None)
+
+    def test_generated_instances_agree_with_unify(self):
+        # Every instance the oracle builds over a simulated run, against every
+        # ground action of the scenario: office instances carry the residual
+        # R1!=R2 with R1 bound, random ones an open actor.
+        checked = 0
+        for k in range(4):
+            for scenario in (
+                generate_case_study(CaseStudyConfig(camera_ratio=0.5), random.Random(k)),
+                generate_random(RandomConfig(agents=3), random.Random(k)),
+            ):
+                schemas = [
+                    a.schema
+                    for g in scenario.agents
+                    for a in scenario.ground_actions(g) + (scenario.nop_instance(g),)
+                ]
+                log = simulate(scenario, 10, random.Random(k))
+                for t, state in enumerate(log.states):
+                    for instance in relevant_instances_closed(
+                        scenario.norms, state, scenario.statics, born_at=t
+                    ):
+                        for schema in schemas:
+                            expected = unified_match(
+                                instance.action, instance.constraints, schema
+                            )
+                            assert instance_matches(instance, schema) == expected
+                            checked += expected
+        assert checked
 
 
 class TestNormValidation:

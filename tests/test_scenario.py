@@ -1,13 +1,16 @@
+import copy
 import itertools
 import json
 import random
 
+import jsonschema
 import pytest
 
 from normmon.actions import ground_instance
 from normmon.harness import CaseStudyConfig, generate_case_study
 from normmon.logic import eval_constraint, subst_atom
 from normmon.scenario import (
+    SCENARIO_SCHEMA,
     ScenarioError,
     dump_scenario,
     parse_atom,
@@ -95,6 +98,53 @@ class TestRoundTrip:
         data["action_descriptions"][0]["con"] = [{"schema": "fly(Z)", "positive": True}]
         with pytest.raises(ScenarioError, match="unknown action 'fly'"):
             scenario_from_dict(data)
+
+
+def _drop_norms(data):
+    del data["norms"]
+
+
+def _declare_decomposable(data):
+    data["decomposable"] = True
+
+
+def _agents_as_a_string(data):
+    data["agents"] = "r1"
+
+
+def _con_item_without_schema(data):
+    data["action_descriptions"][0]["con"] = [{"positive": True, "shema": "nop(S)"}]
+
+
+def _no_agents(data):
+    data["agents"] = []
+
+
+class TestSchemaErrors:
+    @pytest.mark.parametrize(
+        "spoil",
+        [
+            _drop_norms,
+            _declare_decomposable,
+            _agents_as_a_string,
+            _con_item_without_schema,
+            _no_agents,
+        ],
+    )
+    def test_message_is_what_jsonschema_validate_reports(self, fig1, spoil):
+        data = copy.deepcopy(scenario_to_dict(fig1))
+        spoil(data)
+        with pytest.raises(jsonschema.ValidationError) as reference:
+            jsonschema.validate(data, SCENARIO_SCHEMA)
+        with pytest.raises(ScenarioError) as raised:
+            scenario_from_dict(data)
+        assert str(raised.value) == (
+            "scenario does not fit the schema: " + reference.value.message
+        )
+
+    def test_schema_is_a_valid_schema(self):
+        cls = jsonschema.validators.validator_for(SCENARIO_SCHEMA)
+        cls.check_schema(SCENARIO_SCHEMA)
 
 
 class TestDecomposable:
