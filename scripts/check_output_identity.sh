@@ -1,33 +1,44 @@
 #!/bin/sh
-# Byte-compare the CLI's CSV and trace output of two source trees.
+# Byte-compare the CLI's CSV, trace and standard output of two source trees.
 #
 # Usage: scripts/check_output_identity.sh BEFORE_TREE AFTER_TREE OUT_DIR
 #
 # Each tree is a checkout of this repository (for example the parent commit,
 # made with `git archive`, and the working tree). The runs use fixed seeds
-# and PYTHONHASHSEED=0; the script prints one line per compared file and
-# exits non-zero if any pair differs.
+# and PYTHONHASHSEED=0. Each run's standard output is kept next to its CSV,
+# as is that of `normmon replay` on the bundled running-example trace. The
+# script prints one line per compared file and exits non-zero if any pair
+# differs.
 set -eu
 before=$1 after=$2 out=$3
 export PYTHONHASHSEED=0
 
-run() {  # run TREE NAME ARGS...: outputs go to OUT_DIR/TREE_LABEL/NAME.*
-    tree=$1 dir=$2 name=$3
-    shift 3
-    mkdir -p "$dir"
-    PYTHONPATH="$tree/src" python -m normmon.cli "$@" --out "$dir/$name.csv" > /dev/null
+run() {  # run NAME ARGS...: in the current side's directory, outputs NAME.*
+    name=$1
+    shift
+    python -m normmon.cli "$@" --out "$name.csv" > "$name.out"
 }
 
+mkdir -p "$out/before" "$out/after"
+out=$(cd "$out" && pwd)
 for side in before after; do
     if [ "$side" = before ]; then tree=$before; else tree=$after; fi
-    dir=$out/$side
-    run "$tree" "$dir" sweep case-study --sweep --reps 10 --steps 50 --seed 3
+    # Outputs are named relative to the side's directory, so that the paths
+    # the CLI reports are the same on both sides.
+    export PYTHONPATH="$(cd "$tree" && pwd)/src"
+    fixtures=$PYTHONPATH/normmon/fixtures
+    cd "$out/$side"
+    run sweep case-study --sweep --reps 10 --steps 50 --seed 3
     for v in full approximate; do
-        run "$tree" "$dir" "case-$v" case-study --camera-ratio 0.4 --reps 8 --steps 60 \
-            --seed 3 --variant "$v" --trace "$dir/case-$v.trace"
-        run "$tree" "$dir" "random-$v" random --agents-min 1 --agents-max 4 --obs-prob 0.3 \
-            --reps 30 --steps 40 --seed 5 --variant "$v" --trace "$dir/random-$v.trace"
+        run "case-$v" case-study --camera-ratio 0.4 --reps 8 --steps 60 \
+            --seed 3 --variant "$v" --trace "case-$v.trace"
+        run "random-$v" random --agents-min 1 --agents-max 4 --obs-prob 0.3 \
+            --reps 30 --steps 40 --seed 5 --variant "$v" --trace "random-$v.trace"
     done
+    # A replay mismatch exits 1; its report is part of the compared output.
+    python -m normmon.cli replay "$fixtures/running-example.trace" "$fixtures/fig1.json" \
+        > replay.out || true
+    cd - > /dev/null
 done
 
 status=0

@@ -16,7 +16,6 @@ from .logic import (
     StaticFacts,
     Substitution,
     consistent_with,
-    is_consistent,
     is_variable,
     subst_literal,
     subst_term,
@@ -136,15 +135,20 @@ def is_concurrent_consistent(
     agents: Iterable[str],
     statics: StaticFacts,
     rules: Sequence[IntegrityRule],
+    before: LiteralSet,
+    after: LiteralSet,
 ) -> bool:
+    """One action per agent, the joint preconditions consistent with the
+    state ``before`` and the joint postconditions with the state ``after``
+    (each assumed consistent), and every concurrency condition met."""
     actors = [a.actor for a in actions]
     if sorted(actors) != sorted(set(actors)):
         return False
     if set(actors) != set(agents):
         return False
-    if not is_consistent(joint_pre(actions), statics, rules):
+    if not consistent_with(before, joint_pre(actions), statics, rules):
         return False
-    if not is_consistent(joint_post(actions), statics, rules):
+    if not consistent_with(after, joint_post(actions), statics, rules):
         return False
     return all(concurrent_condition_satisfied(a, actions) for a in actions)
 
@@ -180,7 +184,8 @@ def apply_concurrent(
             holds = atom in state
             if holds != sign:
                 raise InapplicableActionError(f"precondition {atom} of {a} does not hold")
-    if not is_concurrent_consistent(actions, agents, statics, rules):
+    empty = LiteralSet()
+    if not is_concurrent_consistent(actions, agents, statics, rules, empty, empty):
         raise InapplicableActionError(f"inconsistent concurrent action {sorted(a.schema for a in actions)}")
     new = set(state)
     for atom, sign in joint_post(actions):

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Collection, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Collection, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 Atom = Tuple[str, ...]
 Literal = Tuple[Atom, bool]
@@ -236,36 +236,72 @@ class LiteralSet:
             self.discard(atom)
 
 
-def _match_body(
-    rule: IntegrityRule,
-    idx: int,
-    sigma: Substitution,
-    state: LiteralSet,
-    statics: StaticFacts,
-    extra: Optional[Dict[Atom, bool]] = None,
-) -> bool:
-    """Backtracking check: can the remaining body literals all be matched?"""
-    if idx == len(rule.literals):
-        for c in rule.constraints:
-            if eval_constraint(c, sigma) is not True:
-                return False
-        return True
-    pattern, sign = rule.literals[idx]
-    pred = pattern[0]
-    candidates: List[Atom] = list(state.with_pred(pred, sign))
-    if sign:
-        candidates.extend(statics.with_pred(pred))
-    if extra:
-        candidates.extend(a for a, s in extra.items() if s == sign and a[0] == pred)
-    seen = set()
-    for ground in candidates:
-        if ground in seen:
-            continue
-        seen.add(ground)
+Lookup = Callable[[Atom, bool, Substitution], Iterable[Atom]]
+
+
+def join(literals: Sequence[Literal], seed: Substitution, world: Lookup) -> Iterator[Substitution]:
+    """Every extension of ``seed`` under which each literal matches an atom
+    the world lists for it, positive literals first. The one backtracking
+    join over rule bodies and norm conditions; constraints are left to the
+    caller. ``world`` is :func:`open_world` or :func:`closed_world`."""
+    ordered = [l for l in literals if l[1]] + [l for l in literals if not l[1]]
+    return _extend(ordered, 0, dict(seed), world)
+
+
+def _extend(literals: List[Literal], idx: int, sigma: Substitution, world: Lookup) -> Iterator[Substitution]:
+    if idx == len(literals):
+        yield sigma
+        return
+    pattern, sign = literals[idx]
+    for ground in world(pattern, sign, sigma):
         ext = unify(pattern, ground, sigma)
-        if ext is not None and _match_body(rule, idx + 1, ext, state, statics, extra):
-            return True
-    return False
+        if ext is not None:
+            yield from _extend(literals, idx + 1, ext, world)
+
+
+def open_world(state: LiteralSet | _Union, statics: StaticFacts) -> Lookup:
+    """A partial state plus the static facts: a positive literal matches an
+    asserted positive or a static fact, a negative one an asserted negative
+    only (absence of knowledge is not falsity). A static fact the state
+    asserts too is listed once."""
+    signs = state.signs
+
+    def lookup(pattern: Atom, sign: bool, sigma: Substitution) -> Iterable[Atom]:
+        pred = pattern[0]
+        found = state.with_pred(pred, sign)
+        more = statics.with_pred(pred) if sign else ()
+        if more:
+            found = [*found, *(a for a in more if signs.get(a) is not True)] if found else more
+        return found
+
+    return lookup
+
+
+def closed_world(state: Collection[Atom], statics: StaticFacts) -> Lookup:
+    """A full state, the set of true dynamic atoms, plus the static facts;
+    every other atom is false. The state is indexed once, here. A negative
+    literal is a membership test, so it must be ground once the positive
+    literals are matched."""
+    by_pred: Dict[str, List[Atom]] = {}
+    for a in state:
+        by_pred.setdefault(a[0], []).append(a)
+
+    def lookup(pattern: Atom, sign: bool, sigma: Substitution) -> Iterable[Atom]:
+        if sign:
+            found, more = by_pred.get(pattern[0]), statics.with_pred(pattern[0])
+            return [*found, *(a for a in more if a not in state)] if found else more
+        atom = subst_atom(sigma, pattern)
+        if not is_ground_atom(atom):
+            raise ValueError(f"negative literal {atom} not ground under closed-world match")
+        return () if atom in state or atom in statics else (atom,)
+
+    return lookup
+
+
+def _rule_fires(rule: IntegrityRule, seed: Substitution, world: Lookup) -> bool:
+    """Does the rule body match in the world with every constraint true?"""
+    sigmas = join(rule.literals, seed, world)
+    return any(all(eval_constraint(c, s) is True for c in rule.constraints) for s in sigmas)
 
 
 # The literal that would complete a rule of two body literals once a ground
@@ -372,7 +408,7 @@ class CompiledRules(tuple):
     that completes a rule. What an added ground literal needs for that is
     worked out on its first check and kept, so later checks are dict and set
     lookups against the set's per-predicate index. Rules with more body
-    literals go through the backtracking join of ``_match_body``.
+    literals go through :func:`join`.
     """
 
     def __new__(cls, rules: Iterable[IntegrityRule], statics: StaticFacts):
@@ -405,8 +441,8 @@ class CompiledRules(tuple):
         literals is consistent with such a rule, and the incremental check,
         which looks only at matches that use an added literal, cannot see
         it, so scenarios reject these rules."""
-        empty = LiteralSet()
-        return [rule for rule in self if _match_body(rule, 0, {}, empty, self.statics)]
+        world = open_world(LiteralSet(), self.statics)
+        return [rule for rule in self if _rule_fires(rule, {}, world)]
 
     @property
     def pairwise(self) -> bool:
@@ -421,17 +457,23 @@ class CompiledRules(tuple):
         alone, with itself in both body positions, or with a static fact?"""
         return self._needs_for(literal) is _FIRES
 
-    def clashes(self, literal: Literal, state: LiteralSet) -> Iterator[Literal]:
+    def clashes(self, literal: Literal, state: LiteralSet | _Union) -> Iterator[Literal]:
         """The literals of ``state`` that clash with a ground literal: its
-        complement, and each partner that completes a rule with it. With
-        pairwise rules a literal that does not fire is consistent with a
-        consistent set exactly when it clashes with none of its literals."""
+        complement, and each partner that completes a rule with it. A literal
+        that fires a rule on its own clashes with itself alone. With pairwise
+        rules a literal is consistent with a consistent set exactly when it
+        clashes with none of its literals."""
+        needs = self._needs_for(literal)
+        if needs is _FIRES:
+            yield literal
+            return
         atom, sign = literal
-        if state.signs.get(atom) == (not sign):
+        signs = state.signs
+        if signs.get(atom) == (not sign):
             yield (atom, not sign)
-        ground, open_ = self._needs_for(literal)
+        ground, open_ = needs
         for partner in ground:
-            if partner in state:
+            if signs.get(partner[0]) == partner[1]:
                 yield partner
         for partner, verdicts in open_:
             pred, partner_sign = partner[0], partner[1]
@@ -472,36 +514,42 @@ class CompiledRules(tuple):
     def admits(self, base: LiteralSet, added: Dict[Atom, bool]) -> bool:
         """Does ``base`` (assumed consistent) stay consistent with ``added``,
         literals that neither contradict nor repeat it nor each other?"""
+        union = _Union(base, added)
         for literal in added.items():
-            needs = self._needs.get(literal)
-            if needs is None:
-                needs = self._needs[literal] = self._needs_of(literal)
-            if needs is _FIRES:
+            if any(self.clashes(literal, union)):
                 return False
-            ground, open_ = needs
-            for atom, sign in ground:
-                if base.signs.get(atom) == sign or added.get(atom) == sign:
-                    return False
-            for partner, verdicts in open_:
-                pred, sign = partner[0], partner[1]
-                candidates = [a for a, s in added.items() if s == sign and a[0] == pred]
-                candidates.extend(base.with_pred(pred, sign))
-                for atom in candidates:
-                    hit = verdicts.get(atom)
-                    if hit is None:
-                        hit = verdicts[atom] = _completes(atom, partner)
-                    if hit:
-                        return False
-        for (pattern, sign), rest in self._joins:
-            # Seed the join with each added literal in each body position;
-            # bodies entirely inside the consistent base cannot fire.
-            for atom, asign in added.items():
-                if asign != sign or atom[0] != pattern[0]:
-                    continue
-                sigma = unify(pattern, atom)
-                if sigma is not None and _match_body(rest, 0, sigma, base, self.statics, added):
-                    return False
+        if self._joins:
+            world = open_world(union, self.statics)
+            for (pattern, sign), rest in self._joins:
+                # Seed the join with each added literal in each body position;
+                # bodies entirely inside the consistent base cannot fire.
+                for atom, asign in added.items():
+                    if asign == sign and atom[0] == pattern[0]:
+                        sigma = unify(pattern, atom)
+                        if sigma is not None and _rule_fires(rest, sigma, world):
+                            return False
         return True
+
+
+class _Union:
+    """A consistent set and literals about to be added to it, read as one
+    set by :meth:`CompiledRules.clashes` and :func:`open_world` without
+    building an index. It is its own ``signs``: ``get`` looks an atom up in
+    the additions, then in the set."""
+
+    __slots__ = ("state", "added", "signs")
+
+    def __init__(self, state: LiteralSet, added: Dict[Atom, bool]):
+        self.state, self.added, self.signs = state, added, self
+
+    def get(self, atom: Atom) -> Optional[bool]:
+        sign = self.added.get(atom)
+        return self.state.signs.get(atom) if sign is None else sign
+
+    def with_pred(self, pred: str, sign: bool) -> List[Atom]:
+        found = [a for a, s in self.added.items() if s == sign and a[0] == pred]
+        found.extend(self.state.with_pred(pred, sign))
+        return found
 
 
 def is_consistent(
@@ -610,114 +658,6 @@ def _survivors_one_by_one(
         kept = [l for l in kept if consistent_with(known, [l], statics, rules)]
         known.retract(extra)
     return kept
-
-
-def satisfies(
-    condition: Sequence[Literal],
-    constraints: Sequence[Constraint],
-    state: LiteralSet,
-    statics: StaticFacts,
-    seed: Optional[Substitution] = None,
-) -> List[Substitution]:
-    """All substitutions making the condition hold in an open-world state.
-
-    Positive literals must be asserted in the state or present in the static
-    facts; negative literals must be asserted as explicit negatives (absence
-    of knowledge is not falsity). Constraints that evaluate false reject the
-    match; constraints over variables the literals leave unbound are
-    deferred to the caller (they end up as residuals on norm instances).
-    """
-    positives = [l for l in condition if l[1]]
-    negatives = [l for l in condition if not l[1]]
-    results: List[Substitution] = []
-    seen: Set[Tuple[Tuple[str, str], ...]] = set()
-
-    def match(idx: int, sigma: Substitution, lits: List[Literal]) -> None:
-        if idx == len(lits):
-            if lits is positives and negatives:
-                match(0, sigma, negatives)
-                return
-            for c in constraints:
-                if eval_constraint(c, sigma) is False:
-                    return
-            key = tuple(sorted(sigma.items()))
-            if key not in seen:
-                seen.add(key)
-                results.append(sigma)
-            return
-        pattern, sign = lits[idx]
-        candidates: List[Atom] = list(state.with_pred(pattern[0], sign))
-        if sign:
-            candidates.extend(statics.with_pred(pattern[0]))
-        for ground in candidates:
-            ext = unify(pattern, ground, sigma)
-            if ext is not None:
-                match(idx + 1, ext, lits)
-
-    start = dict(seed) if seed else {}
-    if positives:
-        match(0, start, positives)
-    elif negatives:
-        match(0, start, negatives)
-    else:
-        ok = all(eval_constraint(c, start) is not False for c in constraints)
-        if ok:
-            results.append(start)
-    return results
-
-
-def satisfies_closed(
-    condition: Sequence[Literal],
-    constraints: Sequence[Constraint],
-    state: Set[Atom],
-    statics: StaticFacts,
-    seed: Optional[Substitution] = None,
-) -> List[Substitution]:
-    """Closed-world counterpart of :func:`satisfies` for full states.
-
-    ``state`` is the set of true dynamic atoms; anything absent from
-    ``state`` and the statics is false. Negative literals must be ground
-    once the positive literals have been matched.
-    """
-    positives = [l for l in condition if l[1]]
-    negatives = [l for l in condition if not l[1]]
-    by_pred: Dict[str, List[Atom]] = {}
-    for a in state:
-        by_pred.setdefault(a[0], []).append(a)
-    results: List[Substitution] = []
-    seen: Set[Tuple[Tuple[str, str], ...]] = set()
-
-    def finish(sigma: Substitution) -> None:
-        for pattern, _ in negatives:
-            atom = subst_atom(sigma, pattern)
-            if not is_ground_atom(atom):
-                raise ValueError(
-                    f"negative literal {atom} not ground under closed-world match"
-                )
-            if atom in state or atom in statics:
-                return
-        for c in constraints:
-            if eval_constraint(c, sigma) is False:
-                return
-        key = tuple(sorted(sigma.items()))
-        if key not in seen:
-            seen.add(key)
-            results.append(sigma)
-
-    def match(idx: int, sigma: Substitution) -> None:
-        if idx == len(positives):
-            finish(sigma)
-            return
-        pattern, _ = positives[idx]
-        candidates = list(by_pred.get(pattern[0], ()))
-        candidates.extend(statics.with_pred(pattern[0]))
-        for ground in candidates:
-            ext = unify(pattern, ground, sigma)
-            if ext is not None:
-                match(idx + 1, ext)
-
-    match(0, dict(seed) if seed else {})
-    return results
 
 
 def atom_text(atom: Atom) -> str:

@@ -11,12 +11,14 @@ from .logic import (
     Constraint,
     Literal,
     LiteralSet,
+    Lookup,
     Matcher,
     StaticFacts,
     atom_text,
+    closed_world,
     eval_constraint,
-    satisfies,
-    satisfies_closed,
+    join,
+    open_world,
     subst_term,
 )
 
@@ -61,38 +63,6 @@ class NormInstance:
     born_at: int = field(default=-1, compare=False)
 
 
-def _instances_from_sigmas(norm: Norm, sigmas, born_at: int) -> List[NormInstance]:
-    out = []
-    seen = set()
-    for sigma in sigmas:
-        action = (norm.action.name,) + tuple(subst_term(sigma, p) for p in norm.action.params)
-        residual = []
-        skip = False
-        for left, rel, right in norm.constraints:
-            c = (subst_term(sigma, left), rel, subst_term(sigma, right))
-            value = eval_constraint(c, {})
-            if value is False:
-                skip = True
-                break
-            if value is None:
-                residual.append(c)
-        if skip:
-            continue
-        key = (action, tuple(residual))
-        if key not in seen:
-            seen.add(key)
-            out.append(
-                NormInstance(
-                    norm=norm,
-                    norm_id=norm.id,
-                    action=action,
-                    constraints=tuple(residual),
-                    born_at=born_at,
-                )
-            )
-    return out
-
-
 def relevant_instances(
     norms: Sequence[Norm],
     state: LiteralSet,
@@ -103,11 +73,7 @@ def relevant_instances(
 
     Distinct substitutions mapping to the same ground action are merged.
     """
-    out: List[NormInstance] = []
-    for norm in norms:
-        sigmas = satisfies(norm.condition, norm.constraints, state, statics)
-        out.extend(_instances_from_sigmas(norm, sigmas, born_at))
-    return out
+    return _instances(norms, open_world(state, statics), born_at)
 
 
 def relevant_instances_closed(
@@ -117,10 +83,32 @@ def relevant_instances_closed(
     born_at: int = -1,
 ) -> List[NormInstance]:
     """Closed-world counterpart, used by the omniscient judge."""
+    return _instances(norms, closed_world(state, statics), born_at)
+
+
+def _instances(norms: Sequence[Norm], world: Lookup, born_at: int) -> List[NormInstance]:
+    """The instances of each norm whose condition matches in the world. A
+    constraint false under the match drops it; one left unbound stays on the
+    instance as a residual. Matches giving one action and the same residuals
+    make one instance."""
     out: List[NormInstance] = []
     for norm in norms:
-        sigmas = satisfies_closed(norm.condition, norm.constraints, state, statics)
-        out.extend(_instances_from_sigmas(norm, sigmas, born_at))
+        seen = set()
+        for sigma in join(norm.condition, {}, world):
+            residual = []
+            for left, rel, right in norm.constraints:
+                c = (subst_term(sigma, left), rel, subst_term(sigma, right))
+                value = eval_constraint(c, {})
+                if value is False:
+                    break
+                if value is None:
+                    residual.append(c)
+            else:
+                action = (norm.action.name,) + tuple(subst_term(sigma, p) for p in norm.action.params)
+                key = (action, tuple(residual))
+                if key not in seen:
+                    seen.add(key)
+                    out.append(NormInstance(norm, norm.id, action, key[1], born_at))
     return out
 
 

@@ -17,8 +17,8 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .actions import (
     ActionInstance,
-    concurrent_condition_satisfied,
     effects,
+    is_concurrent_consistent,
     joint_post,
     joint_pre,
 )
@@ -106,16 +106,7 @@ def check_solution_consistency(
     """The joint action must be a consistent concurrent action over all
     agents and induce consistent initial and final states."""
     joint = list(observed) + list(solution)
-    actors = [a.actor for a in joint]
-    if sorted(actors) != sorted(set(actors)) or set(actors) != set(scenario.agents):
-        return False
-    pre = joint_pre(joint)
-    post = joint_post(joint)
-    if not consistent_with(i, pre, scenario.statics, scenario.rules):
-        return False
-    if not consistent_with(f, post, scenario.statics, scenario.rules):
-        return False
-    return all(concurrent_condition_satisfied(a, joint) for a in joint)
+    return is_concurrent_consistent(joint, scenario.agents, scenario.statics, scenario.rules, i, f)
 
 
 def _assume_checked(

@@ -12,7 +12,7 @@ import hashlib
 import json
 import re
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import combinations, product
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 import jsonschema
@@ -28,9 +28,11 @@ from .logic import (
     Matcher,
     StaticFacts,
     atom_text,
+    closed_world,
     eval_constraint,
     is_consistent,
     is_variable,
+    join,
     literal_text,
     unify,
 )
@@ -87,7 +89,6 @@ SCENARIO_SCHEMA = {
     "properties": {
         "name": {"type": "string"},
         "agents": {"type": "array", "items": {"type": "string"}, "minItems": 1},
-        "constants": {"type": "array", "items": {"type": "string"}},
         "statics": {"type": "array", "items": {"type": "string"}},
         "initial_state": {"type": "array", "items": {"type": "string"}},
         "dynamic_atoms": {"type": "array", "items": {"type": "string"}},
@@ -237,17 +238,15 @@ class Scenario:
         cached = self._ground_cache.get(agent)
         if cached is not None:
             return cached
-        from itertools import product
-
-        from .logic import satisfies_closed
-
         dynamic_preds = self.dynamic_predicates
+        world = closed_world(frozenset(), self.statics)
         out: List[ActionInstance] = []
         seen = set()
         for d in self.non_nop_descriptions():
             _, static_pre = d.split_pre(dynamic_preds)
-            seed = {d.actor_param: agent}
-            for sigma in satisfies_closed(static_pre, d.constraints, set(), self.statics, seed=seed):
+            for sigma in join(static_pre, {d.actor_param: agent}, world):
+                if any(eval_constraint(c, sigma) is False for c in d.constraints):
+                    continue
                 free = [p for p in d.params if is_variable(p) and p not in sigma]
                 for lit in d.pre:
                     free.extend(
@@ -409,11 +408,20 @@ def scenario_from_dict(data: Dict) -> Scenario:
         action_atom, sign = parse_atom(n["action"])
         if not sign:
             raise ScenarioError(f"norm {n['id']}: controlled action must be a positive schema")
+        condition = tuple(parse_literal(t) for t in n["condition"])
+        bound = {t for atom, positive in condition if positive for t in atom[1:]}
+        for atom, positive in condition:
+            if not positive and any(is_variable(t) and t not in bound for t in atom[1:]):
+                raise ScenarioError(
+                    f"norm {n['id']}: no positive literal of the condition binds every "
+                    f"variable of {literal_text((atom, positive))}, so the closed-world "
+                    "judge cannot decide it"
+                )
         norms.append(
             Norm(
                 id=n["id"],
                 deontic=n["deontic"],
-                condition=tuple(parse_literal(t) for t in n["condition"]),
+                condition=condition,
                 constraints=tuple(parse_constraint(t) for t in n.get("constraints", ())),
                 action=SchemaRef(action_atom[0], action_atom[1:]),
                 priority=n.get("priority", idx),

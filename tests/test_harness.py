@@ -185,7 +185,6 @@ class TestMatchingSkipsUnify:
         log = simulate(scenario, 30, random.Random(5))
         assert callers == []
         assert oracle_events(scenario, log)
-        # Norm conditions are still joined by unification, in the functions
-        # nested in satisfies_closed; matching instances to actions is not.
-        joins = {c for c in logic.satisfies_closed.__code__.co_consts if hasattr(c, "co_name")}
-        assert set(callers) <= joins
+        # Norm conditions are still joined by unification, in the recursion
+        # of logic.join; matching instances to actions is not.
+        assert set(callers) <= {logic._extend.__code__}

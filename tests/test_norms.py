@@ -1,7 +1,9 @@
 import dataclasses
+import itertools
 import random
 
-from hypothesis import example, given, settings
+import pytest
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from normmon.actions import SchemaRef
@@ -12,7 +14,18 @@ from normmon.harness import (
     generate_random,
     simulate,
 )
-from normmon.logic import LiteralSet, eval_constraint, unify
+from normmon.logic import (
+    LiteralSet,
+    StaticFacts,
+    closed_world,
+    eval_constraint,
+    is_variable,
+    join,
+    open_world,
+    subst_atom,
+    subst_term,
+    unify,
+)
 from normmon.norms import (
     FULFILLED,
     OBLIGATION,
@@ -197,3 +210,212 @@ def test_instances_deduplicate_on_action_and_residuals(fig1):
         fig1, [(("in", "r1", "a"), True), (("in", "r2", "a"), True)]
     )
     assert len({(i.action, i.constraints) for i in insts}) == len(insts)
+
+
+# Norm conditions over p/2, q/1 and the static s/1, with constants and
+# repeated variables; states and static facts use the constants a and b.
+two = st.sampled_from(["a", "b"])
+condition_terms = st.sampled_from(["X", "Y", "a", "b"])
+condition_literals = st.tuples(
+    st.one_of(
+        st.tuples(st.just("p"), condition_terms, condition_terms),
+        st.tuples(st.just("q"), condition_terms),
+        st.tuples(st.just("s"), condition_terms),
+    ),
+    st.booleans(),
+)
+world_atoms = st.one_of(
+    st.tuples(st.just("p"), two, two), st.tuples(st.just("q"), two), st.tuples(st.just("s"), two)
+)
+# Constraint sides: the condition's variables, W that no literal binds, constants.
+condition_constraints = st.lists(
+    st.tuples(
+        st.sampled_from(["X", "Y", "W", "a"]),
+        st.sampled_from(["=", "!="]),
+        st.sampled_from(["X", "Y", "W", "b"]),
+    ),
+    max_size=2,
+)
+seeds = st.one_of(st.none(), st.dictionaries(st.sampled_from(["X", "Y"]), two, max_size=1))
+static_sets = st.lists(st.tuples(st.just("s"), two), max_size=2).map(StaticFacts)
+
+
+def open_world_order(state, statics):
+    """Does a literal hold in an open-world state, and where does its atom
+    stand among the candidates the join tries for it: the state's atoms of
+    that predicate and sign, then the static facts the state does not
+    assert (for a positive literal)."""
+
+    def holds(atom, sign):
+        return state.sign(atom) == sign or (sign and atom in statics)
+
+    def position(atom, sign):
+        found = list(state.with_pred(atom[0], sign))
+        if sign:
+            found += [s for s in statics.with_pred(atom[0]) if state.sign(s) is not True]
+        return found.index(atom)
+
+    return holds, position
+
+
+def closed_world_order(state, statics):
+    """As :func:`open_world_order` for a closed-world state: a negative
+    literal holds when its atom is absent and is tried once."""
+
+    def holds(atom, sign):
+        return (atom in state or atom in statics) == sign
+
+    def position(atom, sign):
+        if not sign:
+            return 0
+        found = [a for a in state if a[0] == atom[0]]
+        found += [s for s in statics.with_pred(atom[0]) if s not in state]
+        return found.index(atom)
+
+    return holds, position
+
+
+def reference_matches(condition, constraints, seed, world):
+    """Brute force: every assignment of the condition's variables that the
+    seed leaves open, over a and b, under which each literal holds and no
+    constraint is false. Ordered as a depth-first join visits them:
+    positive literals first, each literal's atoms in candidate order."""
+    holds, position = world
+    seed = seed or {}
+    names = sorted({t for atom, _ in condition for t in atom[1:] if is_variable(t)} - set(seed))
+    ordered = [l for l in condition if l[1]] + [l for l in condition if not l[1]]
+    found = []
+    for values in itertools.product("ab", repeat=len(names)):
+        sigma = {**seed, **dict(zip(names, values))}
+        grounds = [(subst_atom(sigma, atom), sign) for atom, sign in ordered]
+        if all(holds(*g) for g in grounds) and all(
+            eval_constraint(c, sigma) is not False for c in constraints
+        ):
+            found.append(([position(*g) for g in grounds], sigma))
+    return [sigma for _, sigma in sorted(found, key=lambda pair: pair[0])]
+
+
+def closed_world_judgeable(condition, seed):
+    """Each negative literal is ground once the seed and the positive
+    literals are bound, as the closed-world judge needs."""
+    bound = set(seed or ()) | {t for atom, sign in condition if sign for t in atom[1:]}
+    return all(set(atom[1:]) <= bound | {"a", "b"} for atom, sign in condition if not sign)
+
+
+def matches(condition, constraints, world, seed):
+    """The join's matches that no constraint rules out, as norm conditions
+    take them."""
+    return [
+        sigma
+        for sigma in join(condition, seed or {}, world)
+        if all(eval_constraint(c, sigma) is not False for c in constraints)
+    ]
+
+
+def open_matches(condition, constraints, state, statics, seed):
+    return matches(condition, constraints, open_world(state, statics), seed)
+
+
+def closed_matches(condition, constraints, state, statics, seed):
+    return matches(condition, constraints, closed_world(state, statics), seed)
+
+
+def reference_instances(norms, world):
+    out = []
+    for norm in norms:
+        for sigma in reference_matches(norm.condition, norm.constraints, None, world):
+            action = subst_atom(sigma, norm.action.pattern())
+            residual = []
+            for left, rel, right in norm.constraints:
+                c = (subst_term(sigma, left), rel, subst_term(sigma, right))
+                if eval_constraint(c, {}) is None:
+                    residual.append(c)
+            if (norm.id, action, tuple(residual)) not in out:
+                out.append((norm.id, action, tuple(residual)))
+    return out
+
+
+def _norms(condition, constraints):
+    action = SchemaRef("act", ("X", "Y", "W"))
+    return [
+        Norm("n", PROHIBITION, tuple(condition), tuple(constraints), action),
+        Norm("m", OBLIGATION, tuple(reversed(condition)), (), action),
+    ]
+
+
+class TestConditionMatching:
+    @given(
+        st.lists(condition_literals, max_size=3),
+        condition_constraints,
+        st.dictionaries(world_atoms, st.booleans(), max_size=6),
+        static_sets,
+        seeds,
+    )
+    @settings(max_examples=400, deadline=None)
+    # A repeated variable, a static fact the state also asserts.
+    @example(
+        [(("p", "X", "X"), True), (("s", "X"), True)],
+        [],
+        {("p", "a", "a"): True, ("s", "a"): True},
+        StaticFacts([("s", "a"), ("s", "b")]),
+        None,
+    )
+    # A negative literal matches explicit negatives only; the seed binds X.
+    @example(
+        [(("q", "X"), False), (("p", "X", "Y"), True)],
+        [("Y", "!=", "W")],
+        {("q", "a"): False, ("p", "a", "b"): True, ("p", "b", "b"): True},
+        StaticFacts([]),
+        {"X": "a"},
+    )
+    def test_open_world_agrees_with_brute_force(self, condition, constraints, signs, statics, seed):
+        state = LiteralSet(signs.items())
+        world = open_world_order(state, statics)
+        expected = reference_matches(condition, constraints, seed, world)
+        assert open_matches(condition, constraints, state, statics, seed) == expected
+
+    @given(
+        st.lists(condition_literals, max_size=3),
+        condition_constraints,
+        st.sets(world_atoms, max_size=6),
+        static_sets,
+        seeds,
+    )
+    @settings(max_examples=400, deadline=None)
+    # A negative literal over a static fact, a false constraint.
+    @example(
+        [(("p", "X", "Y"), True), (("s", "Y"), False)],
+        [("X", "!=", "b")],
+        {("p", "a", "a"), ("p", "a", "b"), ("p", "b", "a")},
+        StaticFacts([("s", "b")]),
+        None,
+    )
+    def test_closed_world_agrees_with_brute_force(self, condition, constraints, state, statics, seed):
+        assume(closed_world_judgeable(condition, seed))
+        world = closed_world_order(state, statics)
+        expected = reference_matches(condition, constraints, seed, world)
+        assert closed_matches(condition, constraints, state, statics, seed) == expected
+
+    def test_closed_world_needs_ground_negative_literals(self):
+        condition = [(("q", "X"), True), (("p", "X", "Y"), False)]
+        with pytest.raises(ValueError):
+            closed_matches(condition, [], {("q", "a")}, StaticFacts([]), None)
+
+    @given(
+        st.lists(condition_literals, min_size=1, max_size=3),
+        condition_constraints,
+        st.dictionaries(world_atoms, st.booleans(), max_size=6),
+        static_sets,
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_instances_agree_with_brute_force(self, condition, constraints, signs, statics):
+        norms = _norms(condition, constraints)
+        state = LiteralSet(signs.items())
+        got = relevant_instances(norms, state, statics)
+        expected = reference_instances(norms, open_world_order(state, statics))
+        assert [(i.norm_id, i.action, i.constraints) for i in got] == expected
+        if all(closed_world_judgeable(n.condition, None) for n in norms):
+            closed = {atom for atom, sign in signs.items() if sign}
+            got = relevant_instances_closed(norms, closed, statics)
+            expected = reference_instances(norms, closed_world_order(closed, statics))
+            assert [(i.norm_id, i.action, i.constraints) for i in got] == expected

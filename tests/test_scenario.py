@@ -93,6 +93,17 @@ class TestRoundTrip:
         data["rules"][-1]["constraints"] = ["R=O"]
         scenario_from_dict(data)
 
+    def test_norm_the_judge_cannot_decide_rejected(self, fig1):
+        # The closed-world judge needs each negative literal of a condition
+        # ground once the positive ones are matched.
+        data = scenario_to_dict(fig1)
+        for condition in (["-in(R1,L2)"], ["in(R1,a)", "-in(R1,L2)"]):
+            data["norms"][0]["condition"] = condition
+            with pytest.raises(ScenarioError, match=r"norm no-collision: .* -in\(R1,L2\)"):
+                scenario_from_dict(data)
+        data["norms"][0]["condition"] = ["in(R1,L2)", "-in(R1,a)"]
+        scenario_from_dict(data)
+
     def test_concurrency_condition_on_unknown_action_rejected(self, fig1):
         data = scenario_to_dict(fig1)
         data["action_descriptions"][0]["con"] = [{"schema": "fly(Z)", "positive": True}]
@@ -106,6 +117,10 @@ def _drop_norms(data):
 
 def _declare_decomposable(data):
     data["decomposable"] = True
+
+
+def _declare_constants(data):
+    data["constants"] = ["a", "b"]
 
 
 def _agents_as_a_string(data):
@@ -126,6 +141,7 @@ class TestSchemaErrors:
         [
             _drop_norms,
             _declare_decomposable,
+            _declare_constants,
             _agents_as_a_string,
             _con_item_without_schema,
             _no_agents,
