@@ -447,11 +447,8 @@ def repetition_seed(seed: int, idx: int) -> int:
     return seed * _SEED_STRIDE + idx
 
 
-def run_monitor(
-    scenario: Scenario, log: GroundTruthLog, variant: str, solution_cap: int = 10**6
-) -> List[TickRecord]:
-    monitor = NormMonitor(scenario, variant=variant, solution_cap=solution_cap)
-    return monitor.run(log.observed)
+def run_monitor(scenario: Scenario, log: GroundTruthLog, variant: str) -> List[TickRecord]:
+    return NormMonitor(scenario, variant=variant).run(log.observed)
 
 
 @dataclass
@@ -474,12 +471,7 @@ class Metrics:
         return 100.0 * getattr(pooled, field_name) / denom
 
 
-def run_experiment(
-    cfg,
-    variants: Sequence[str],
-    generator,
-    solution_cap: int = 10**6,
-) -> Metrics:
+def run_experiment(cfg, variants: Sequence[str], generator) -> Metrics:
     """Repetitions share ground truth and observations across variants, so
     comparisons between monitors are paired."""
     metrics = Metrics()
@@ -489,7 +481,7 @@ def run_experiment(
         log = simulate(scenario, cfg.steps, rng)
         events = oracle_events(scenario, log)
         for variant in variants:
-            records = run_monitor(scenario, log, variant, solution_cap=solution_cap)
+            records = run_monitor(scenario, log, variant)
             metrics.add(variant, _score(events, records))
         metrics.runs += 1
     return metrics

@@ -81,6 +81,19 @@ def eval_constraint(constraint: Constraint, sigma: Substitution) -> Optional[boo
     return (lv == rv) if rel == "=" else (lv != rv)
 
 
+def residuals(constraints: Iterable[Constraint], sigma: Substitution) -> Optional[Tuple[Constraint, ...]]:
+    """The constraints under sigma that still have an unbound side, in
+    order, or None when one is false; the true ones are dropped."""
+    out = []
+    for left, rel, right in constraints:
+        lv, rv = subst_term(sigma, left), subst_term(sigma, right)
+        if is_variable(lv) or is_variable(rv):
+            out.append((lv, rel, rv))
+        elif (lv == rv) != (rel == "="):
+            return None
+    return tuple(out)
+
+
 class Matcher:
     """A pattern compiled into a name, a length and checks (position, equal,
     position or constant): ``matches(g)`` is ``unify(pattern, g) is not
@@ -243,7 +256,9 @@ def join(literals: Sequence[Literal], seed: Substitution, world: Lookup) -> Iter
     """Every extension of ``seed`` under which each literal matches an atom
     the world lists for it, positive literals first. The one backtracking
     join over rule bodies and norm conditions; constraints are left to the
-    caller. ``world`` is :func:`open_world` or :func:`closed_world`."""
+    caller. ``world`` is :func:`open_world` or :func:`closed_world`; a world
+    that lists the pattern itself means that the literal holds as it is, and
+    the join extends the substitution unchanged."""
     ordered = [l for l in literals if l[1]] + [l for l in literals if not l[1]]
     return _extend(ordered, 0, dict(seed), world)
 
@@ -254,7 +269,7 @@ def _extend(literals: List[Literal], idx: int, sigma: Substitution, world: Looku
         return
     pattern, sign = literals[idx]
     for ground in world(pattern, sign, sigma):
-        ext = unify(pattern, ground, sigma)
+        ext = sigma if ground is pattern else unify(pattern, ground, sigma)
         if ext is not None:
             yield from _extend(literals, idx + 1, ext, world)
 
@@ -281,7 +296,7 @@ def closed_world(state: Collection[Atom], statics: StaticFacts) -> Lookup:
     """A full state, the set of true dynamic atoms, plus the static facts;
     every other atom is false. The state is indexed once, here. A negative
     literal is a membership test, so it must be ground once the positive
-    literals are matched."""
+    literals are matched; when it holds, the pattern itself is listed."""
     by_pred: Dict[str, List[Atom]] = {}
     for a in state:
         by_pred.setdefault(a[0], []).append(a)
@@ -293,7 +308,7 @@ def closed_world(state: Collection[Atom], statics: StaticFacts) -> Lookup:
         atom = subst_atom(sigma, pattern)
         if not is_ground_atom(atom):
             raise ValueError(f"negative literal {atom} not ground under closed-world match")
-        return () if atom in state or atom in statics else (atom,)
+        return () if atom in state or atom in statics else (pattern,)
 
     return lookup
 
@@ -304,97 +319,32 @@ def _rule_fires(rule: IntegrityRule, seed: Substitution, world: Lookup) -> bool:
     return any(all(eval_constraint(c, s) is True for c in rule.constraints) for s in sigmas)
 
 
-# The literal that would complete a rule of two body literals once a ground
-# literal has taken the other body position, as (predicate, sign, atom
-# length, need, same, constraints): ``need`` lists (position, constant) for
-# the positions the rule or the ground literal fixes; ``same`` lists
-# (position, earlier position) for a variable repeated among the others;
-# each constraint is (position, relation, a constant or another position).
-Partner = Tuple[str, bool, int, Tuple, Tuple, Tuple]
-
-# In place of a literal's partners: it fires a rule alone, with itself in
-# both body positions, or with a static fact.
-_FIRES = "fires"
-
-
-def _completes(atom: Atom, partner: Partner) -> bool:
-    """Does the ground atom (of the partner's predicate and sign) fill the
-    partner position?"""
-    _, _, length, need, same, constraints = partner
-    if len(atom) != length:
-        return False
-    if any(atom[q] != c for q, c in need) or any(atom[q] != atom[p] for q, p in same):
-        return False
-    for q, rel, other in constraints:
-        value = atom[other] if isinstance(other, int) else other
-        if (atom[q] == value) != (rel == "="):
-            return False
-    return True
-
-
 class _Probe:
     """One body position of a rule of at most two body literals, compiled so
-    that a ground literal placed there yields its partner (or that the rule
-    fires on it alone) without unification."""
+    that a ground literal placed there yields its partner without
+    unification. A rule of one literal is read as that literal twice."""
 
-    __slots__ = ("fits", "partner", "terms", "constraints")
+    __slots__ = ("fits", "other", "constraints")
 
     def __init__(self, rule: IntegrityRule, position: int):
-        pattern, _ = rule.literals[position]
-        self.fits = Matcher(pattern)
-        own = self.fits.first  # variable -> its first position here
-        free: Dict[str, int] = {}  # variable -> its first position over there
-        other: Atom = ()
-        self.partner: Optional[Tuple[str, bool, int]] = None
-        if len(rule.literals) == 2:
-            other, other_sign = rule.literals[1 - position]
-            self.partner = (other[0], other_sign, len(other))
-            for q, term in enumerate(other[1:], 1):
-                if is_variable(term) and term not in own:
-                    free.setdefault(term, q)
+        self.fits = Matcher(rule.literals[position][0])
+        self.other = rule.literals[-1 - position]
+        self.constraints = rule.constraints
 
-        def side(term: str) -> Tuple[str, object]:
-            if not is_variable(term):
-                return ("c", term)
-            if term in own:
-                return ("own", own[term])
-            return ("free", free[term])
-
-        # The other literal's terms and the constraints' sides, each as
-        # ("c", constant), ("own", position here) or ("free", position there).
-        self.terms = [side(term) for term in other[1:]]
-        self.constraints = [(side(l), rel, side(r)) for l, rel, r in rule.constraints]
-
-    def partner_for(self, atom: Atom):
+    def partner_for(self, atom: Atom) -> Optional[Tuple[Matcher, Atom, bool]]:
         """None if the atom does not fit this position or a constraint then
-        fails, ``_FIRES`` if the rule fires on the atom alone, else the
-        :data:`Partner` that completes the rule."""
+        fails, else the partner that completes the rule: its pattern
+        compiled with the constraints left over it, the pattern and its
+        sign."""
         if not self.fits.matches(atom):
             return None
-
-        def value(side):  # a constant, or the position of a free variable
-            kind, x = side
-            return atom[x] if kind == "own" else x
-
-        constraints = []
-        for left, rel, right in self.constraints:
-            lv, rv = value(left), value(right)
-            if left[0] != "free" and right[0] != "free":
-                if (lv == rv) != (rel == "="):
-                    return None
-                continue
-            if left[0] != "free":
-                lv, rv = rv, lv
-            constraints.append((lv, rel, rv))
-        if self.partner is None:
-            return _FIRES
-        need, same = [], []
-        for q, (kind, x) in enumerate(self.terms, 1):
-            if kind != "free":
-                need.append((q, value((kind, x))))
-            elif x != q:
-                same.append((q, x))
-        return self.partner + (tuple(need), tuple(same), tuple(constraints))
+        sigma = {v: atom[p] for v, p in self.fits.first.items()}
+        residual = residuals(self.constraints, sigma)
+        if residual is None:
+            return None
+        pattern, sign = self.other
+        pattern = subst_atom(sigma, pattern)
+        return Matcher(pattern, residual), pattern, sign
 
 
 class CompiledRules(tuple):
@@ -418,9 +368,8 @@ class CompiledRules(tuple):
         self._probes: Dict[Tuple[str, bool], List[_Probe]] = {}
         # rules of three or more body literals: (body literal, rest of the rule)
         self._joins: List[Tuple[Literal, IntegrityRule]] = []
-        # ground literal -> _FIRES, or (ground partners, open partners with
-        # their verdict per atom seen), filled on first check
-        self._needs: Dict[Literal, object] = {}
+        # ground literal -> what _needs_of works out, filled on first check
+        self._needs: Dict[Literal, Tuple] = {}
         for rule in self:
             literals = rule.literals
             if len(literals) > 2:
@@ -452,35 +401,27 @@ class CompiledRules(tuple):
         finds at once."""
         return bool(self) and not self._joins
 
-    def fires(self, literal: Literal) -> bool:
-        """Is the ground literal inconsistent on its own: does it fire a rule
-        alone, with itself in both body positions, or with a static fact?"""
-        return self._needs_for(literal) is _FIRES
-
     def clashes(self, literal: Literal, state: LiteralSet | _Union) -> Iterator[Literal]:
         """The literals of ``state`` that clash with a ground literal: its
-        complement, and each partner that completes a rule with it. A literal
-        that fires a rule on its own clashes with itself alone. With pairwise
+        complement, and each partner that completes a rule with it; a literal
+        that fires a rule on its own also clashes with itself. With pairwise
         rules a literal is consistent with a consistent set exactly when it
         clashes with none of its literals."""
-        needs = self._needs_for(literal)
-        if needs is _FIRES:
+        fires, ground, open_ = self._needs_for(literal)
+        if fires:
             yield literal
-            return
         atom, sign = literal
         signs = state.signs
         if signs.get(atom) == (not sign):
             yield (atom, not sign)
-        ground, open_ = needs
         for partner in ground:
             if signs.get(partner[0]) == partner[1]:
                 yield partner
-        for partner, verdicts in open_:
-            pred, partner_sign = partner[0], partner[1]
-            for other in state.with_pred(pred, partner_sign):
+        for matcher, partner_sign, verdicts in open_:
+            for other in state.with_pred(matcher.name, partner_sign):
                 hit = verdicts.get(other)
                 if hit is None:
-                    hit = verdicts[other] = _completes(other, partner)
+                    hit = verdicts[other] = matcher.matches(other)
                 if hit:
                     yield (other, partner_sign)
 
@@ -491,25 +432,28 @@ class CompiledRules(tuple):
         return needs
 
     def _needs_of(self, literal: Literal):
+        """Whether the ground literal fires a rule on its own (alone, with
+        itself in both body positions, or with a static fact), its ground
+        partners, and its open partners, each with its verdict per atom."""
         atom, sign = literal
+        fires = False
         ground: Set[Literal] = set()
-        open_: Dict[Partner, Dict[Atom, bool]] = {}
+        open_: Dict[Tuple, Tuple[Matcher, bool, Dict[Atom, bool]]] = {}
         for probe in self._probes.get((atom[0], sign), ()):
             partner = probe.partner_for(atom)
             if partner is None:
                 continue
-            if partner is _FIRES:
-                return _FIRES
-            pred, partner_sign, length, need = partner[:4]
-            if (pred, partner_sign) == (atom[0], sign) and _completes(atom, partner):
-                return _FIRES
-            if partner_sign and any(_completes(s, partner) for s in self.statics.with_pred(pred)):
-                return _FIRES
-            if len(need) == length - 1:
-                ground.add(((pred,) + tuple(c for _, c in need), partner_sign))
-            else:
-                open_.setdefault(partner, {})
-        return tuple(ground), tuple(open_.items())
+            matcher, pattern, partner_sign = partner
+            if partner_sign == sign and matcher.matches(atom):
+                fires = True
+            if partner_sign and any(map(matcher.matches, self.statics.with_pred(matcher.name))):
+                fires = True
+            if not matcher.first:
+                ground.add((pattern, partner_sign))
+            else:  # one per compiled form: the probes of a symmetric rule agree
+                key = (matcher.name, matcher.length, matcher.checks, partner_sign)
+                open_.setdefault(key, (matcher, partner_sign, {}))
+        return fires, tuple(ground), tuple(open_.values())
 
     def admits(self, base: LiteralSet, added: Dict[Atom, bool]) -> bool:
         """Does ``base`` (assumed consistent) stay consistent with ``added``,
@@ -603,54 +547,27 @@ def survivors(
 ) -> List[Literal]:
     """The literals of ``state`` (assumed consistent) each consistent with
     ``base`` plus every one of ``post_sets`` in turn, or with ``base`` alone
-    when there are none; each of those unions is assumed consistent. Kept in
-    the order of ``state``.
+    when there are none, in the sense of :func:`consistent_with`: only rule
+    matches that use the literal count. Kept in the order of ``state``.
 
     With pairwise rules a literal survives exactly when it clashes with no
     literal of ``base`` or of any post set, so the check runs from the other
     side: each distinct literal of those sets collects what it kills in
-    ``state`` through the state's per-predicate index. A rule of three or
-    more body literals, or a literal that fires a rule on its own, sends the
-    rest of the check through :func:`consistent_with`, one literal of
-    ``state`` at a time."""
+    ``state`` through the state's per-predicate index. Otherwise each literal
+    of ``state`` is checked with :func:`consistent_with`."""
     rules = _compiled(rules, statics)
-    if not rules.pairwise:
-        return _survivors_one_by_one(state.literals(), base, post_sets, statics, rules)
-    killed: Set[Literal] = set()
-    walked: Set[Literal] = set()
-
-    def kill(literals: Iterable[Literal]) -> bool:
-        fresh = set(literals)
-        fresh -= walked
-        if any(rules.fires(l) for l in fresh):
-            return False
-        walked.update(fresh)
-        for literal in fresh:
-            killed.update(rules.clashes(literal, state))
-        return True
-
-    if not kill(base):
-        return _survivors_one_by_one(state.literals(), base, post_sets, statics, rules)
-    post_sets = iter(post_sets)
-    for post in post_sets:
-        if not kill(post):
-            kept = [l for l in state.literals() if l not in killed]
-            rest = itertools.chain([post], post_sets)
-            return _survivors_one_by_one(kept, base, rest, statics, rules)
-    return [l for l in state.literals() if l not in killed]
-
-
-def _survivors_one_by_one(
-    kept: Iterable[Literal],
-    base: Collection[Literal],
-    post_sets: Iterable[Iterable[Literal]],
-    statics: StaticFacts,
-    rules: CompiledRules,
-) -> List[Literal]:
-    """:func:`survivors` with one :func:`consistent_with` check per literal
-    and set."""
+    if rules.pairwise:
+        killed: Set[Literal] = set()
+        walked: Set[Literal] = set()
+        for literals in itertools.chain([base], post_sets):
+            fresh = set(literals)
+            fresh -= walked
+            walked |= fresh
+            for literal in fresh:
+                killed.update(rules.clashes(literal, state))
+        return [l for l in state.literals() if l not in killed]
     known = LiteralSet(base)
-    kept = [l for l in kept if consistent_with(known, [l], statics, rules)]
+    kept = [l for l in state.literals() if consistent_with(known, [l], statics, rules)]
     for post in post_sets:
         if not kept:
             break

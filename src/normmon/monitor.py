@@ -30,7 +30,6 @@ from .norms import (
     relevant_instances,
 )
 from .reconstruction import (
-    DEFAULT_SOLUTION_CAP,
     ReconstructionOutcome,
     approximate_reconstruct,
     full_reconstruct,
@@ -126,13 +125,11 @@ class NormMonitor:
         scenario: Scenario,
         variant: str = FULL,
         initial_knowledge: str = COMPLETE,
-        solution_cap: int = DEFAULT_SOLUTION_CAP,
     ):
         if variant not in VARIANTS:
             raise ValueError(f"unknown monitor variant {variant!r}")
         self.scenario = scenario
         self.variant = variant
-        self.solution_cap = solution_cap
         self.tick = 0
         self.prev: Optional[LiteralSet] = None
         self.prev_obs: Optional[List[ActionInstance]] = None
@@ -174,7 +171,7 @@ class NormMonitor:
         start = time.perf_counter()
         if self.variant == FULL:
             outcome, acts = full_reconstruct(
-                self.scenario, self.prev, self.curr, acts, targets, cap=self.solution_cap
+                self.scenario, self.prev, self.curr, acts, targets
             )
         else:
             outcome, acts = approximate_reconstruct(

@@ -16,9 +16,9 @@ from .logic import (
     StaticFacts,
     atom_text,
     closed_world,
-    eval_constraint,
     join,
     open_world,
+    residuals,
     subst_term,
 )
 
@@ -95,20 +95,13 @@ def _instances(norms: Sequence[Norm], world: Lookup, born_at: int) -> List[NormI
     for norm in norms:
         seen = set()
         for sigma in join(norm.condition, {}, world):
-            residual = []
-            for left, rel, right in norm.constraints:
-                c = (subst_term(sigma, left), rel, subst_term(sigma, right))
-                value = eval_constraint(c, {})
-                if value is False:
-                    break
-                if value is None:
-                    residual.append(c)
-            else:
+            residual = residuals(norm.constraints, sigma)
+            if residual is not None:
                 action = (norm.action.name,) + tuple(subst_term(sigma, p) for p in norm.action.params)
-                key = (action, tuple(residual))
+                key = (action, residual)
                 if key not in seen:
                     seen.add(key)
-                    out.append(NormInstance(norm, norm.id, action, key[1], born_at))
+                    out.append(NormInstance(norm, norm.id, action, residual, born_at))
     return out
 
 

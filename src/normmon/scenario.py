@@ -25,10 +25,12 @@ from .logic import (
     Constraint,
     IntegrityRule,
     Literal,
+    LiteralSet,
     Matcher,
     StaticFacts,
     atom_text,
     closed_world,
+    consistent_with,
     eval_constraint,
     is_consistent,
     is_variable,
@@ -367,6 +369,20 @@ def _joins_two_agents(rule: IntegrityRule, owned: Set[Tuple[str, Literal]]) -> b
     return False
 
 
+def _unbound_negative(literals: Tuple[Literal, ...], bound: Set[str] = frozenset()) -> Optional[Literal]:
+    """The first negative literal with a variable that neither ``bound`` nor
+    a positive literal binds: a closed-world match cannot decide it."""
+    bound = bound | {t for atom, positive in literals if positive for t in atom[1:]}
+    for atom, positive in literals:
+        if not positive and any(is_variable(t) and t not in bound for t in atom[1:]):
+            return (atom, positive)
+    return None
+
+
+def _rule_text(rule: IntegrityRule) -> str:
+    return ", ".join([literal_text(l) for l in rule.literals] + [constraint_text(c) for c in rule.constraints])
+
+
 def scenario_from_dict(data: Dict) -> Scenario:
     from .norms import Norm  # local import to avoid a cycle
 
@@ -409,14 +425,12 @@ def scenario_from_dict(data: Dict) -> Scenario:
         if not sign:
             raise ScenarioError(f"norm {n['id']}: controlled action must be a positive schema")
         condition = tuple(parse_literal(t) for t in n["condition"])
-        bound = {t for atom, positive in condition if positive for t in atom[1:]}
-        for atom, positive in condition:
-            if not positive and any(is_variable(t) and t not in bound for t in atom[1:]):
-                raise ScenarioError(
-                    f"norm {n['id']}: no positive literal of the condition binds every "
-                    f"variable of {literal_text((atom, positive))}, so the closed-world "
-                    "judge cannot decide it"
-                )
+        unbound = _unbound_negative(condition)
+        if unbound is not None:
+            raise ScenarioError(
+                f"norm {n['id']}: no positive literal of the condition binds every "
+                f"variable of {literal_text(unbound)}, so the closed-world judge cannot decide it"
+            )
         norms.append(
             Norm(
                 id=n["id"],
@@ -438,10 +452,26 @@ def scenario_from_dict(data: Dict) -> Scenario:
         observability=dict(data["observability"]),
         dynamic_atoms=tuple(parse_atom(t)[0] for t in data.get("dynamic_atoms", ())),
     )
+    for d in scenario.non_nop_descriptions():
+        unbound = _unbound_negative(d.split_pre(scenario.dynamic_predicates)[1], {d.actor_param})
+        if unbound is not None:
+            raise ScenarioError(
+                f"action {d.name}: neither the actor nor a positive static precondition binds "
+                f"every variable of {literal_text(unbound)}, so grounding cannot decide it"
+            )
     for rule in scenario.rules.held_by_statics():
-        body = [literal_text(l) for l in rule.literals]
-        body += [constraint_text(c) for c in rule.constraints]
-        raise ScenarioError(f"rule {', '.join(body)} holds on the static facts alone")
+        raise ScenarioError(f"rule {_rule_text(rule)} holds on the static facts alone")
+    # The literals a monitor with complete initial knowledge starts from,
+    # added one at a time so that each check looks up a small addition.
+    truths = scenario.initial_state
+    initial = [(atom, True) for atom in truths]
+    initial += [(atom, False) for atom in scenario.dynamic_atoms if atom not in truths]
+    known = LiteralSet()
+    for literal in initial:
+        if not consistent_with(known, [literal], scenario.statics, scenario.rules):
+            broken = next(r for r in scenario.rules if not is_consistent(initial, scenario.statics, [r]))
+            raise ScenarioError(f"the initial state breaks the rule {_rule_text(broken)}")
+        known.add(literal)
     refs = [(f"norm {n.id}", n.action) for n in scenario.norms]
     refs += [(f"action {d.name}", ref) for d in scenario.descriptions for ref in d.con]
     for where, ref in refs:

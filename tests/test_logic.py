@@ -271,9 +271,11 @@ class TestConsistency:
     def test_literal_that_completes_a_rule_with_itself_fires(self):
         rules = [_rule((("p", "X"), True), (("p", "Y"), True))]
         compiled = CompiledRules(rules, NO_STATICS)
-        assert compiled.fires((("p", "a"), True))
-        assert not compiled.fires((("p", "a"), False))
+        # A literal that fires clashes with itself, even in an empty set.
+        assert list(compiled.clashes((("p", "a"), True), LiteralSet())) == [(("p", "a"), True)]
+        assert list(compiled.clashes((("p", "a"), False), LiteralSet())) == []
         assert not is_consistent([(("p", "a"), True)], NO_STATICS, compiled)
+        assert is_consistent([(("p", "a"), False)], NO_STATICS, compiled)
         assert not reference_consistent_with(LiteralSet(), [(("p", "a"), True)], NO_STATICS, rules)
 
     def test_compiled_rules_skip_unify(self, fig1, monkeypatch):
@@ -302,6 +304,20 @@ def _consistent_part(literals, statics, rules, base=()):
     for literal in literals:
         if reference_consistent_with(union, [literal], statics, rules):
             union.add(literal)
+            kept.append(literal)
+    return kept
+
+
+def _with_firing(literals, statics, rules, base):
+    """The consistent part of ``literals`` on top of ``base``, plus those of
+    the others that fire a rule on their own and leave no atom twice."""
+    kept = _consistent_part(literals, statics, rules, base)
+    atoms = {atom for atom, _ in list(base) + kept}
+    for literal in literals:
+        if literal[0] not in atoms and not reference_consistent_with(
+            LiteralSet(), [literal], statics, rules
+        ):
+            atoms.add(literal[0])
             kept.append(literal)
     return kept
 
@@ -336,6 +352,12 @@ class TestSurvivors:
     )
     # A partner completed through a static fact's rule shape.
     @example(["static partner"], [("s", "a")], [(("s", "b"), True)], [(("q", "b"), True)], [])
+    # p(a,a) fires the one-literal rule and still kills its partner in(a,a).
+    @example(
+        ["one literal", "equality"], [], [(("in", "a", "a"), True)], [], [[(("p", "a", "a"), True)]]
+    )
+    # q(a) fires with the static s(a) and still kills s(a) asserted in the state.
+    @example(["static partner"], [("s", "a")], [(("s", "a"), True)], [], [[(("q", "a"), True)]])
     def test_survivors_agree_with_the_per_literal_check(
         self, shapes, statics, state_literals, base_literals, posts
     ):
@@ -344,7 +366,8 @@ class TestSurvivors:
         compiled = CompiledRules(rules, statics)
         state = LiteralSet(_consistent_part(state_literals, statics, rules))
         base = _consistent_part(base_literals, statics, rules)
-        post_sets = [_consistent_part(post, statics, rules, base) for post in posts]
+        # Post sets may hold literals that fire a rule on their own.
+        post_sets = [_with_firing(post, statics, rules, base) for post in posts]
         expected = per_literal_survivors(state, base, post_sets, statics, compiled)
         # A generator of post sets, as the reconstruction routes pass them.
         got = survivors(state, base, (p for p in post_sets), statics, compiled)
@@ -379,7 +402,7 @@ class TestSurvivors:
         # Each literal of the state against the base, then with the post set.
         assert len(calls) == 4
 
-    def test_literal_that_fires_sends_the_rest_per_literal(self, monkeypatch):
+    def test_literal_that_fires_stays_pairwise(self, monkeypatch):
         rules = [RULE_SHAPES["one literal"], RULE]
         compiled = CompiledRules(rules, NO_STATICS)
         state = LiteralSet(
@@ -391,9 +414,8 @@ class TestSurvivors:
         assert expected == [(("q", "a"), True)]
         calls = self._counting(monkeypatch)
         assert survivors(state, [], post_sets, NO_STATICS, compiled) == expected
-        # What the first post set left, checked per literal against the
-        # base and then with the second post set.
-        assert len(calls) == 4
+        # The firing literal kills what clashes with it, on the pairwise path.
+        assert len(calls) == 0
 
 
 def test_monitor_records_match_the_brute_force_checker(monkeypatch):

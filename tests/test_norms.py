@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from normmon import logic
 from normmon.actions import SchemaRef
 from normmon.harness import (
     CaseStudyConfig,
@@ -395,6 +396,15 @@ class TestConditionMatching:
         world = closed_world_order(state, statics)
         expected = reference_matches(condition, constraints, seed, world)
         assert closed_matches(condition, constraints, state, statics, seed) == expected
+
+    def test_closed_world_negative_literal_is_not_unified(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(logic, "unify", lambda *a: calls.append(a) or unify(*a))
+        condition = [(("q", "X"), True), (("p", "X", "a"), False)]
+        state = {("q", "a"), ("q", "b"), ("p", "b", "a")}
+        assert closed_matches(condition, [], state, StaticFacts([]), None) == [{"X": "a"}]
+        # One call per q atom; the negative literal is a membership test.
+        assert len(calls) == 2
 
     def test_closed_world_needs_ground_negative_literals(self):
         condition = [(("q", "X"), True), (("p", "X", "Y"), False)]

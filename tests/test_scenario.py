@@ -2,6 +2,7 @@ import copy
 import itertools
 import json
 import random
+import re
 
 import jsonschema
 import pytest
@@ -56,7 +57,8 @@ class TestRoundTrip:
 
     def test_hash_tracks_content(self, fig1):
         data = scenario_to_dict(fig1)
-        data["initial_state"] = sorted(data["initial_state"] + ["in(r2,f)"])
+        # r2 starts in f instead of d.
+        data["initial_state"] = sorted(set(data["initial_state"]) - {"in(r2,d)"} | {"in(r2,f)"})
         assert scenario_hash(scenario_from_dict(data)) != scenario_hash(fig1)
 
     def test_bad_arity_rejected(self, fig1):
@@ -103,6 +105,34 @@ class TestRoundTrip:
                 scenario_from_dict(data)
         data["norms"][0]["condition"] = ["in(R1,L2)", "-in(R1,a)"]
         scenario_from_dict(data)
+
+    def test_action_grounding_cannot_decide_rejected(self, fig1):
+        # Grounding matches static preconditions in the closed world, so each
+        # negative one must be ground once the actor and the positives bind.
+        data = scenario_to_dict(fig1)
+        move = data["action_descriptions"][0]
+        pre = list(move["pre"])
+        for negative in ("-corridor(L2,Z)", "-corridor(O2,Z)"):
+            move["pre"] = pre + [negative]
+            with pytest.raises(ScenarioError, match=r"action move: .* " + re.escape(negative)):
+                scenario_from_dict(data)
+        move["pre"] = pre + ["-corridor(O2,O1)"]
+        scenario = scenario_from_dict(data)
+        moves = scenario.ground_actions("r1")
+        # Only the moves along one-way corridors are left.
+        assert moves and all(("corridor", a.args[2], a.args[1]) not in scenario.statics for a in moves)
+
+    def test_initial_state_that_breaks_a_rule_rejected(self, fig1):
+        # A monitor with complete knowledge would start from an inconsistent
+        # state: the true initial atoms and the other dynamic atoms negated.
+        data = scenario_to_dict(fig1)
+        data["initial_state"].append("in(r1,c)")
+        with pytest.raises(ScenarioError, match=r"initial state breaks the rule in\(R,O1\)"):
+            scenario_from_dict(data)
+        data = scenario_to_dict(fig1)
+        data["rules"].append({"body": ["-in(R,a)", "robot(R)"]})
+        with pytest.raises(ScenarioError, match=r"initial state breaks the rule -in\(R,a\)"):
+            scenario_from_dict(data)
 
     def test_concurrency_condition_on_unknown_action_rejected(self, fig1):
         data = scenario_to_dict(fig1)
@@ -188,7 +218,7 @@ class TestDecomposable:
 
     def test_rule_whose_constraint_rules_out_two_agents(self, fig1):
         data = scenario_to_dict(fig1)
-        data["rules"].append({"body": ["in(R1,O)", "in(R2,O)"], "constraints": ["R1=R2"]})
+        data["rules"].append({"body": ["in(R1,O1)", "in(R2,O2)"], "constraints": ["R1=R2", "O1!=O2"]})
         assert scenario_from_dict(data).decomposable
 
 
