@@ -6,9 +6,13 @@
 # Each tree is a checkout of this repository (for example the parent commit,
 # made with `git archive`, and the working tree). The runs use fixed seeds
 # and PYTHONHASHSEED=0. Each run's standard output is kept next to its CSV,
-# as is that of `normmon replay` on the bundled running-example trace. The
-# script prints one line per compared file and exits non-zero if any pair
-# differs.
+# as is that of `normmon replay` on the bundled running-example trace.
+# Ground truth is compared directly too: `simulate.out` lists, for a few
+# office and random scenarios, each tick's executed and observed actions
+# and the true state after it, so a change in the simulator's use of its
+# random stream or in its action order shows up even where the scores do
+# not move. The script prints one line per compared file and exits non-zero
+# if any pair differs.
 set -eu
 before=$1 after=$2 out=$3
 export PYTHONHASHSEED=0
@@ -35,6 +39,28 @@ for side in before after; do
         run "random-$v" random --agents-min 1 --agents-max 4 --obs-prob 0.3 \
             --reps 30 --steps 40 --seed 5 --variant "$v" --trace "random-$v.trace"
     done
+    python - > simulate.out <<'PY'
+import random
+
+from normmon.harness import (
+    CaseStudyConfig, RandomConfig, generate_case_study, generate_random, simulate,
+)
+from normmon.logic import atom_text
+
+for kind, generate, cfg in (
+    ("office", generate_case_study, CaseStudyConfig(camera_ratio=0.4)),
+    ("random", generate_random, RandomConfig(agents=4, observation_probability=0.5)),
+):
+    for seed in range(4):
+        rng = random.Random(seed)
+        scenario = generate(cfg, rng)
+        log = simulate(scenario, 40, rng)
+        print(kind, seed, *sorted(map(atom_text, log.states[0])))
+        for t, (executed, observed) in enumerate(zip(log.executed, log.observed)):
+            print(t, "executed", *executed)
+            print(t, "observed", *observed)
+            print(t, "state", *sorted(map(atom_text, log.states[t + 1])))
+PY
     # A replay mismatch exits 1; its report is part of the compared output.
     python -m normmon.cli replay "$fixtures/running-example.trace" "$fixtures/fig1.json" \
         > replay.out || true

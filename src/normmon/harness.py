@@ -6,6 +6,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
+from itertools import compress
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .actions import (
@@ -20,9 +21,9 @@ from .norms import (
     IDENTIFIED,
     UNKNOWN,
     VIOLATED,
-    judge,
     matching_actions,
     relevant_instances_closed,
+    status_of,
 )
 from .scenario import Scenario, scenario_from_dict
 
@@ -241,12 +242,11 @@ def generate_random(cfg: RandomConfig, rng: random.Random) -> Scenario:
 
 
 def applicable_actions(scenario: Scenario, agent: str, state: Set[Atom]) -> List[ActionInstance]:
-    """Non-NOP instances whose (dynamic) precondition holds in a full state."""
-    return [
-        a
-        for a in scenario.ground_actions(agent)
-        if all((atom in state) == sign for atom, sign in a.pre)
-    ]
+    """Non-NOP instances whose (dynamic) precondition holds in a full state,
+    in ground order. Each distinct precondition is decided once."""
+    pres, pre_of = scenario.preconditions(agent)
+    holds = [true.issubset(state) and false.isdisjoint(state) for true, false in pres]
+    return list(compress(scenario.ground_actions(agent), map(holds.__getitem__, pre_of)))
 
 
 def _joint_offenders(scenario: Scenario, joint: Sequence[ActionInstance]) -> Set[str]:
@@ -309,7 +309,7 @@ def observe(
         if scenario.description(a.name).is_nop:
             observed.append(a)
         elif mode == "cameras":
-            if any(camera.matches(a.schema) for camera in scenario.cameras):
+            if scenario.watched(a.schema):
                 observed.append(a)
         else:
             if rng.random() < scenario.observability.get("probability", 1.0):
@@ -355,11 +355,12 @@ def oracle_events(scenario: Scenario, log: GroundTruthLog) -> List[GroundTruthEv
         instances = relevant_instances_closed(
             scenario.norms, log.states[t], scenario.statics, born_at=t
         )
+        complete = len(executed) == len(scenario.agents)
         for inst in instances:
-            status = judge(inst, executed, len(scenario.agents))
+            matches = matching_actions(inst, executed)
+            status = status_of(inst, bool(matches), complete)
             if status == UNKNOWN:  # cannot happen on complete logs
                 continue
-            matches = matching_actions(inst, executed)
             offender = matches[0].actor if matches else None
             events.append(
                 GroundTruthEvent(t, inst.norm_id, inst.action, inst.constraints, status, offender)

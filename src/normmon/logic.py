@@ -13,9 +13,8 @@ forward chaining is performed.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Callable, Collection, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Collection, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 Atom = Tuple[str, ...]
 Literal = Tuple[Atom, bool]
@@ -29,10 +28,6 @@ class ArityError(ValueError):
 
 def is_variable(term: str) -> bool:
     return term[:1].isupper()
-
-
-def is_ground_atom(atom: Atom) -> bool:
-    return not any(is_variable(t) for t in atom[1:])
 
 
 def subst_term(sigma: Substitution, term: str) -> str:
@@ -249,91 +244,155 @@ class LiteralSet:
             self.discard(atom)
 
 
-Lookup = Callable[[Atom, bool, Substitution], Iterable[Atom]]
+class Plan:
+    """A join over literals compiled into positional steps, once, for the
+    variables a seed binds: positive literals first, then negative ones,
+    each in the order given. A literal whose variables are all bound by then
+    is one membership test in the world; any other takes the atoms the world
+    lists for it, in that order, binding its new variables by position and
+    checking its constants and bound variables. No step unifies. A match is
+    a row: each variable's value at its slot (``slots``), the seed's first.
+    """
+
+    __slots__ = ("slots", "steps")
+
+    def __init__(self, literals: Sequence[Literal], bound: Sequence[str] = ()):
+        slots: Dict[str, int] = {v: i for i, v in enumerate(bound)}
+        steps = []
+        for atom, sign in [l for l in literals if l[1]] + [l for l in literals if not l[1]]:
+            terms = atom[1:]
+            if all(t in slots or not is_variable(t) for t in terms):
+                # (predicate, sign, None, each term's slot or constant)
+                steps.append((atom[0], sign, None, tuple(slots.get(t, t) for t in terms)))
+                continue
+            binds, checks = [], []
+            for p, term in enumerate(terms, 1):
+                if is_variable(term) and term not in slots:
+                    slots[term] = len(slots)
+                    binds.append((p, slots[term]))
+                else:  # a constant, or a variable bound before or at an earlier position
+                    checks.append((p, slots.get(term, term)))
+            steps.append((atom[0], sign, len(atom), (tuple(binds), tuple(checks))))
+        self.slots = slots
+        self.steps = tuple(steps)
+
+    def rows(self, world: OpenWorld | ClosedWorld, seed: Sequence[str] = ()) -> Iterator[List[str]]:
+        """Every match in the world that extends the seed's values, in the
+        order of the steps and of the atoms the world lists. The row is one
+        list, refilled for each match: read it before taking the next."""
+        row: List = [*seed, *[None] * (len(self.slots) - len(seed))]
+        return self._extend(0, row, world)
+
+    def _extend(self, k: int, row: List, world) -> Iterator[List[str]]:
+        if k == len(self.steps):
+            yield row
+            return
+        pred, sign, length, how = self.steps[k]
+        if length is None:
+            atom = (pred, *[row[x] if x.__class__ is int else x for x in how])
+            if world.holds(atom, sign):
+                yield from self._extend(k + 1, row, world)
+            return
+        binds, checks = how
+        for ground in world.candidates(pred, sign):
+            if len(ground) != length:
+                continue
+            for p, s in binds:
+                row[s] = ground[p]
+            for p, x in checks:
+                if ground[p] != (row[x] if x.__class__ is int else x):
+                    break
+            else:
+                yield from self._extend(k + 1, row, world)
 
 
-def join(literals: Sequence[Literal], seed: Substitution, world: Lookup) -> Iterator[Substitution]:
-    """Every extension of ``seed`` under which each literal matches an atom
-    the world lists for it, positive literals first. The one backtracking
-    join over rule bodies and norm conditions; constraints are left to the
-    caller. ``world`` is :func:`open_world` or :func:`closed_world`; a world
-    that lists the pattern itself means that the literal holds as it is, and
-    the join extends the substitution unchanged."""
-    ordered = [l for l in literals if l[1]] + [l for l in literals if not l[1]]
-    return _extend(ordered, 0, dict(seed), world)
-
-
-def _extend(literals: List[Literal], idx: int, sigma: Substitution, world: Lookup) -> Iterator[Substitution]:
-    if idx == len(literals):
-        yield sigma
-        return
-    pattern, sign = literals[idx]
-    for ground in world(pattern, sign, sigma):
-        ext = sigma if ground is pattern else unify(pattern, ground, sigma)
-        if ext is not None:
-            yield from _extend(literals, idx + 1, ext, world)
-
-
-def open_world(state: LiteralSet | _Union, statics: StaticFacts) -> Lookup:
+class OpenWorld:
     """A partial state plus the static facts: a positive literal matches an
-    asserted positive or a static fact, a negative one an asserted negative
-    only (absence of knowledge is not falsity). A static fact the state
-    asserts too is listed once."""
-    signs = state.signs
+    asserted positive or a static fact, even one the state asserts false; a
+    negative one an asserted negative only (absence of knowledge is not
+    falsity). A static fact the state asserts too is listed once."""
 
-    def lookup(pattern: Atom, sign: bool, sigma: Substitution) -> Iterable[Atom]:
-        pred = pattern[0]
-        found = state.with_pred(pred, sign)
-        more = statics.with_pred(pred) if sign else ()
+    __slots__ = ("state", "statics")
+
+    def __init__(self, state: LiteralSet | _Union, statics: StaticFacts):
+        self.state, self.statics = state, statics
+
+    def candidates(self, pred: str, sign: bool) -> Iterable[Atom]:
+        found = self.state.with_pred(pred, sign)
+        more = self.statics.with_pred(pred) if sign else ()
         if more:
+            signs = self.state.signs
             found = [*found, *(a for a in more if signs.get(a) is not True)] if found else more
         return found
 
-    return lookup
+    def holds(self, atom: Atom, sign: bool) -> bool:
+        return self.state.signs.get(atom) == sign or (sign and atom in self.statics)
 
 
-def closed_world(state: Collection[Atom], statics: StaticFacts) -> Lookup:
+class ClosedWorld:
     """A full state, the set of true dynamic atoms, plus the static facts;
     every other atom is false. The state is indexed once, here. A negative
-    literal is a membership test, so it must be ground once the positive
-    literals are matched; when it holds, the pattern itself is listed."""
-    by_pred: Dict[str, List[Atom]] = {}
-    for a in state:
-        by_pred.setdefault(a[0], []).append(a)
+    literal can only be tested, so a plan must bind its variables first."""
 
-    def lookup(pattern: Atom, sign: bool, sigma: Substitution) -> Iterable[Atom]:
-        if sign:
-            found, more = by_pred.get(pattern[0]), statics.with_pred(pattern[0])
-            return [*found, *(a for a in more if a not in state)] if found else more
-        atom = subst_atom(sigma, pattern)
-        if not is_ground_atom(atom):
-            raise ValueError(f"negative literal {atom} not ground under closed-world match")
-        return () if atom in state or atom in statics else (pattern,)
+    __slots__ = ("state", "statics", "_by_pred")
 
-    return lookup
+    def __init__(self, state: Collection[Atom], statics: StaticFacts):
+        self.state, self.statics = state, statics
+        self._by_pred: Dict[str, List[Atom]] = {}
+        for a in state:
+            self._by_pred.setdefault(a[0], []).append(a)
 
+    def candidates(self, pred: str, sign: bool) -> Iterable[Atom]:
+        if not sign:
+            raise ValueError(f"negative {pred} literal not ground under closed-world match")
+        found, more = self._by_pred.get(pred), self.statics.with_pred(pred)
+        return [*found, *(a for a in more if a not in self.state)] if found else more
 
-def _rule_fires(rule: IntegrityRule, seed: Substitution, world: Lookup) -> bool:
-    """Does the rule body match in the world with every constraint true?"""
-    sigmas = join(rule.literals, seed, world)
-    return any(all(eval_constraint(c, s) is True for c in rule.constraints) for s in sigmas)
+    def holds(self, atom: Atom, sign: bool) -> bool:
+        return (atom in self.state or atom in self.statics) == sign
 
 
-class _Probe:
-    """One body position of a rule of at most two body literals, compiled so
-    that a ground literal placed there yields its partner without
-    unification. A rule of one literal is read as that literal twice."""
+class _Body:
+    """Rule literals compiled to fire from a seed: the plan, and each
+    constraint as (slot or constant, equal, slot or constant). A constraint
+    with a side that neither the seed nor a literal binds is never true, so
+    such a body never fires."""
+
+    __slots__ = ("plan", "checks")
+
+    def __init__(self, literals: Sequence[Literal], constraints: Sequence[Constraint], bound: Sequence[str] = ()):
+        self.plan = Plan(literals, bound)
+        slots = self.plan.slots
+        unbound = [t for c in constraints for t in (c[0], c[2]) if is_variable(t) and t not in slots]
+        self.checks = None if unbound else [(slots.get(l, l), rel == "=", slots.get(r, r)) for l, rel, r in constraints]
+
+    def fires(self, world: OpenWorld, seed: Sequence[str] = ()) -> bool:
+        if self.checks is None:
+            return False
+
+        def value(x):
+            return row[x] if x.__class__ is int else x
+
+        for row in self.plan.rows(world, seed):
+            if all((value(l) == value(r)) == equal for l, equal, r in self.checks):
+                return True
+        return False
+
+
+class Probe:
+    """A body literal's pattern compiled so that a ground atom that fits it
+    yields the other literal of a pair, its partner, without unification."""
 
     __slots__ = ("fits", "other", "constraints")
 
-    def __init__(self, rule: IntegrityRule, position: int):
-        self.fits = Matcher(rule.literals[position][0])
-        self.other = rule.literals[-1 - position]
-        self.constraints = rule.constraints
+    def __init__(self, pattern: Atom, other: Literal, constraints: Sequence[Constraint]):
+        self.fits = Matcher(pattern)
+        self.other = other
+        self.constraints = constraints
 
     def partner_for(self, atom: Atom) -> Optional[Tuple[Matcher, Atom, bool]]:
-        """None if the atom does not fit this position or a constraint then
-        fails, else the partner that completes the rule: its pattern
+        """None if the atom does not fit the pattern or a constraint then
+        fails, else the partner: its pattern under the atom's bindings,
         compiled with the constraints left over it, the pattern and its
         sign."""
         if not self.fits.matches(atom):
@@ -357,32 +416,37 @@ class CompiledRules(tuple):
     fact, or meets a partner literal, in the set or among the additions,
     that completes a rule. What an added ground literal needs for that is
     worked out on its first check and kept, so later checks are dict and set
-    lookups against the set's per-predicate index. Rules with more body
-    literals go through :func:`join`.
+    lookups against the set's per-predicate index. A rule with more body
+    literals is compiled once per body position, as the rest of its body
+    joined from a literal placed there (see :class:`Plan`).
     """
 
     def __new__(cls, rules: Iterable[IntegrityRule], statics: StaticFacts):
         self = super().__new__(cls, rules)
         self.statics = statics
-        # (predicate, sign) -> probes of the body positions it can take
-        self._probes: Dict[Tuple[str, bool], List[_Probe]] = {}
-        # rules of three or more body literals: (body literal, rest of the rule)
-        self._joins: List[Tuple[Literal, IntegrityRule]] = []
+        # (predicate, sign) -> probes of the body positions it can take; a
+        # rule of one body literal is read as that literal twice
+        self._probes: Dict[Tuple[str, bool], List[Probe]] = {}
+        # rules of three or more body literals: (sign, pattern of a body
+        # literal, the rest of the body joined from its bindings)
+        self._joins: List[Tuple[bool, Matcher, _Body]] = []
         # ground literal -> what _needs_of works out, filled on first check
         self._needs: Dict[Literal, Tuple] = {}
         for rule in self:
             literals = rule.literals
             if len(literals) > 2:
-                for i, literal in enumerate(literals):
-                    rest = IntegrityRule(literals[:i] + literals[i + 1 :], rule.constraints)
-                    self._joins.append((literal, rest))
+                for i, (pattern, sign) in enumerate(literals):
+                    fits = Matcher(pattern)
+                    rest = _Body(literals[:i] + literals[i + 1 :], rule.constraints, tuple(fits.first))
+                    self._joins.append((sign, fits, rest))
                 continue
             bound = {t for atom, _ in literals for t in atom[1:] if is_variable(t)}
             sides = {t for c in rule.constraints for t in (c[0], c[2]) if is_variable(t)}
             if not sides <= bound:
                 continue  # a constraint over an unbound variable never holds
             for i, (pattern, sign) in enumerate(literals):
-                self._probes.setdefault((pattern[0], sign), []).append(_Probe(rule, i))
+                probe = Probe(pattern, literals[-1 - i], rule.constraints)
+                self._probes.setdefault((pattern[0], sign), []).append(probe)
         return self
 
     def held_by_statics(self) -> List[IntegrityRule]:
@@ -390,8 +454,8 @@ class CompiledRules(tuple):
         literals is consistent with such a rule, and the incremental check,
         which looks only at matches that use an added literal, cannot see
         it, so scenarios reject these rules."""
-        world = open_world(LiteralSet(), self.statics)
-        return [rule for rule in self if _rule_fires(rule, {}, world)]
+        world = OpenWorld(LiteralSet(), self.statics)
+        return [rule for rule in self if _Body(rule.literals, rule.constraints).fires(world)]
 
     @property
     def pairwise(self) -> bool:
@@ -463,21 +527,20 @@ class CompiledRules(tuple):
             if any(self.clashes(literal, union)):
                 return False
         if self._joins:
-            world = open_world(union, self.statics)
-            for (pattern, sign), rest in self._joins:
-                # Seed the join with each added literal in each body position;
-                # bodies entirely inside the consistent base cannot fire.
+            world = OpenWorld(union, self.statics)
+            for sign, fits, rest in self._joins:
+                # Seed the rest of the body with each added literal in each
+                # body position; bodies inside the consistent base cannot fire.
                 for atom, asign in added.items():
-                    if asign == sign and atom[0] == pattern[0]:
-                        sigma = unify(pattern, atom)
-                        if sigma is not None and _rule_fires(rest, sigma, world):
+                    if asign == sign and fits.matches(atom):
+                        if rest.fires(world, [atom[p] for p in fits.first.values()]):
                             return False
         return True
 
 
 class _Union:
     """A consistent set and literals about to be added to it, read as one
-    set by :meth:`CompiledRules.clashes` and :func:`open_world` without
+    set by :meth:`CompiledRules.clashes` and :class:`OpenWorld` without
     building an index. It is its own ``signs``: ``get`` looks an atom up in
     the additions, then in the set."""
 
@@ -550,22 +613,34 @@ def survivors(
     when there are none, in the sense of :func:`consistent_with`: only rule
     matches that use the literal count. Kept in the order of ``state``.
 
-    With pairwise rules a literal survives exactly when it clashes with no
-    literal of ``base`` or of any post set, so the check runs from the other
-    side: each distinct literal of those sets collects what it kills in
-    ``state`` through the state's per-predicate index. Otherwise each literal
-    of ``state`` is checked with :func:`consistent_with`."""
+    With pairwise rules a literal survives exactly when ``base`` asserts it,
+    or it clashes with no literal of ``base`` and with no literal of each
+    post set that does not assert it (a set is only checked against the
+    literals it adds). So the check runs from the other side: each distinct
+    literal of those sets collects what it kills in ``state`` through the
+    state's per-predicate index, once. Otherwise each literal of ``state``
+    is checked with :func:`consistent_with`."""
     rules = _compiled(rules, statics)
     if rules.pairwise:
+        base = set(base)
         killed: Set[Literal] = set()
-        walked: Set[Literal] = set()
-        for literals in itertools.chain([base], post_sets):
-            fresh = set(literals)
-            fresh -= walked
-            walked |= fresh
-            for literal in fresh:
-                killed.update(rules.clashes(literal, state))
-        return [l for l in state.literals() if l not in killed]
+        for literal in base:
+            killed.update(rules.clashes(literal, state))
+        walked = set(base)
+        # post literal -> what it kills that the post set it came in asserts
+        spared: Dict[Literal, Set[Literal]] = {}
+        for post in post_sets:
+            post = set(post)
+            for literal in post - walked:
+                hit = set(rules.clashes(literal, state))
+                killed |= hit - post
+                if not hit.isdisjoint(post):
+                    spared[literal] = hit & post
+            walked |= post
+            if spared:
+                for literal in post & spared.keys():
+                    killed |= spared[literal] - post
+        return [l for l in state.literals() if l in base or l not in killed]
     known = LiteralSet(base)
     kept = [l for l in state.literals() if consistent_with(known, [l], statics, rules)]
     for post in post_sets:

@@ -25,9 +25,9 @@ from .norms import (
     NormInstance,
     Verdict,
     instance_matches,
-    judge,
     matching_actions,
     relevant_instances,
+    status_of,
 )
 from .reconstruction import (
     ReconstructionOutcome,
@@ -93,16 +93,14 @@ def check_norms(
     if instances is None:
         instances = relevant_instances(scenario.norms, p, scenario.statics, born_at=born_at)
     verdicts: List[Verdict] = []
+    complete = len(acts) == len(scenario.agents)
     for inst in instances:
-        status = judge(inst, acts, len(scenario.agents))
+        matches = matching_actions(inst, acts)
+        status = status_of(inst, bool(matches), complete)
         if status == UNKNOWN:
             continue
-        witness = None
-        culprit = None
-        matches = matching_actions(inst, acts)
-        if matches:
-            witness = matches[0]
-            culprit = witness.actor
+        witness = matches[0] if matches else None
+        culprit = witness.actor if witness else None
         verdicts.append(Verdict(inst, status, IDENTIFIED, culprit=culprit, witness=witness))
     for a, status in sorted(discovered, key=lambda x: x[0].schema):
         wanted = PROHIBITION if status == VIOLATED else OBLIGATION

@@ -21,22 +21,22 @@ from .actions import ActionDescription, ActionInstance, SchemaRef, ground_instan
 from .logic import (
     ArityError,
     Atom,
+    ClosedWorld,
     CompiledRules,
     Constraint,
     IntegrityRule,
     Literal,
     LiteralSet,
     Matcher,
+    Plan,
+    Probe,
     StaticFacts,
     atom_text,
-    closed_world,
     consistent_with,
     eval_constraint,
     is_consistent,
     is_variable,
-    join,
     literal_text,
-    unify,
 )
 
 _ATOM_RE = re.compile(r"^\s*(-?)\s*([A-Za-z_][\w]*)\s*(?:\(\s*([^()]*)\s*\))?\s*$")
@@ -186,7 +186,15 @@ class Scenario:
     # Derived from the fields above, once; never serialized.
     dynamic_predicates: FrozenSet[str] = field(init=False, compare=False, repr=False)
     cameras: Tuple[Matcher, ...] = field(init=False, compare=False, repr=False)
+    # Per description: its static preconditions as a join from the actor,
+    # and the variables grounding leaves free.
+    _groundings: Dict[str, Tuple[Plan, Tuple[str, ...]]] = field(init=False, compare=False, repr=False)
+    # Filled on first use, per agent or per ground schema.
     _nops: Dict[str, ActionInstance] = field(default_factory=dict, init=False, compare=False, repr=False)
+    _ground: Dict[str, Tuple[ActionInstance, ...]] = field(default_factory=dict, init=False, compare=False, repr=False)
+    _coherent: Dict[str, Tuple[ActionInstance, ...]] = field(default_factory=dict, init=False, compare=False, repr=False)
+    _pres: Dict[str, Tuple] = field(default_factory=dict, init=False, compare=False, repr=False)
+    _watched: Dict[Atom, bool] = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         self._by_name = {d.name: d for d in self.descriptions}
@@ -194,7 +202,18 @@ class Scenario:
         posts = [atom for d in self.descriptions for atom, _ in d.post]
         self.dynamic_predicates = frozenset(a[0] for a in posts + list(self.dynamic_atoms))
         self.cameras = tuple(Matcher(parse_atom(c)[0]) for c in self.observability.get("cameras", ()))
+        self._groundings = {d.name: self._grounding(d) for d in self.non_nop_descriptions()}
         self._check_arities()
+
+    def _grounding(self, d: ActionDescription) -> Tuple[Plan, Tuple[str, ...]]:
+        """The description's static preconditions joined from its actor, and
+        the variables of its parameters and preconditions left free, in
+        order."""
+        plan = Plan(d.split_pre(self.dynamic_predicates)[1], (d.actor_param,))
+        free = [p for p in d.params if is_variable(p) and p not in plan.slots]
+        for atom, _ in d.pre:
+            free.extend(v for v in atom[1:] if is_variable(v) and v not in plan.slots and v not in free)
+        return plan, tuple(free)
 
     def description(self, name: str) -> ActionDescription:
         try:
@@ -235,25 +254,20 @@ class Scenario:
         preconditions and constraints hold. Dynamic preconditions are not
         checked here; callers filter them against a full or partial state.
         Cached per scenario (the statics are immutable)."""
-        if not hasattr(self, "_ground_cache"):
-            self._ground_cache: Dict[str, Tuple[ActionInstance, ...]] = {}
-        cached = self._ground_cache.get(agent)
+        cached = self._ground.get(agent)
         if cached is not None:
             return cached
         dynamic_preds = self.dynamic_predicates
-        world = closed_world(frozenset(), self.statics)
+        world = ClosedWorld(frozenset(), self.statics)
         out: List[ActionInstance] = []
         seen = set()
         for d in self.non_nop_descriptions():
-            _, static_pre = d.split_pre(dynamic_preds)
-            for sigma in join(static_pre, {d.actor_param: agent}, world):
+            plan, free = self._groundings[d.name]
+            names = tuple(plan.slots)
+            for row in plan.rows(world, (agent,)):
+                sigma = dict(zip(names, row))
                 if any(eval_constraint(c, sigma) is False for c in d.constraints):
                     continue
-                free = [p for p in d.params if is_variable(p) and p not in sigma]
-                for lit in d.pre:
-                    free.extend(
-                        v for v in lit[0][1:] if is_variable(v) and v not in sigma and v not in free
-                    )
                 if len(free) > 4:
                     raise ScenarioError(
                         f"action {d.name} leaves too many parameters unconstrained by statics"
@@ -270,19 +284,37 @@ class Scenario:
                     if key not in seen:
                         seen.add(key)
                         out.append(inst)
-        result = tuple(sorted(out, key=lambda a: a.schema))
-        self._ground_cache[agent] = result
+        result = self._ground[agent] = tuple(sorted(out, key=lambda a: a.schema))
         return result
+
+    def preconditions(self, agent: str) -> Tuple[Tuple[Tuple[FrozenSet[Atom], FrozenSet[Atom]], ...], Tuple[int, ...]]:
+        """The distinct preconditions of the agent's ground actions, each as
+        the atoms it needs true and those it needs false, and the index among
+        them of each action's, in ground order. Worked out once per scenario."""
+        found = self._pres.get(agent)
+        if found is None:
+            index: Dict[FrozenSet[Literal], int] = {}
+            pre_of = tuple(index.setdefault(a.pre, len(index)) for a in self.ground_actions(agent))
+            pres = tuple(
+                (frozenset(a for a, s in pre if s), frozenset(a for a, s in pre if not s)) for pre in index
+            )
+            found = self._pres[agent] = (pres, pre_of)
+        return found
+
+    def watched(self, schema: Atom) -> bool:
+        """Does a camera pattern match the ground schema? Kept per schema."""
+        seen = self._watched.get(schema)
+        if seen is None:
+            seen = self._watched[schema] = any(c.matches(schema) for c in self.cameras)
+        return seen
 
     def coherent_actions(self, agent: str) -> Tuple[ActionInstance, ...]:
         """The ground actions of one agent whose preconditions and whose
         postconditions are each consistent on their own; no consistent
         partial state admits any other. Decided once per scenario."""
-        if not hasattr(self, "_coherent_cache"):
-            self._coherent_cache: Dict[str, Tuple[ActionInstance, ...]] = {}
-        cached = self._coherent_cache.get(agent)
+        cached = self._coherent.get(agent)
         if cached is None:
-            cached = self._coherent_cache[agent] = tuple(
+            cached = self._coherent[agent] = tuple(
                 a
                 for a in self.ground_actions(agent)
                 if is_consistent(a.pre, self.statics, self.rules)
@@ -353,19 +385,18 @@ def _joins_two_agents(rule: IntegrityRule, owned: Set[Tuple[str, Literal]]) -> b
     """Can the rule body match literals of two different agents at once?
     Tried for every pair of body positions, in both agent orders; a
     constraint already false under the pair's bindings rules a match out."""
-    for (first, first_sign), (second, second_sign) in combinations(rule.literals, 2):
+    for (first, first_sign), second in combinations(rule.literals, 2):
+        probe = Probe(first, second, rule.constraints)
         for agent, (atom, sign) in owned:
-            sigma = unify(first, atom) if sign == first_sign else None
-            if sigma is None:
+            partner = probe.partner_for(atom) if sign == first_sign else None
+            if partner is None:
                 continue
-            for other, (other_atom, other_sign) in owned:
-                if other == agent or other_sign != second_sign:
-                    continue
-                both = unify(second, other_atom, sigma)
-                if both is not None and all(
-                    eval_constraint(c, both) is not False for c in rule.constraints
-                ):
-                    return True
+            matcher, _, second_sign = partner
+            if any(
+                other != agent and other_sign == second_sign and matcher.matches(other_atom)
+                for other, (other_atom, other_sign) in owned
+            ):
+                return True
     return False
 
 

@@ -95,7 +95,14 @@ def write_trace(
             fh.write(json.dumps(row, sort_keys=True) + "\n")
 
 
+_VERDICT_TEXTS = ("norm", "action", "status", "mode")
+
+
 def read_trace(path: str) -> Tuple[Dict, List[Dict]]:
+    """The header and the tick rows of a trace file. Each row must be an
+    object with the next tick, its observed actions as a list of texts and
+    its verdicts as a list of objects with the fields replay compares;
+    anything else raises :class:`TraceError` naming the line."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = [line for line in fh.read().splitlines() if line.strip()]
     if not lines:
@@ -105,17 +112,38 @@ def read_trace(path: str) -> Tuple[Dict, List[Dict]]:
         rows = [json.loads(line) for line in lines[1:]]
     except json.JSONDecodeError as exc:
         raise TraceError(f"{path}: not valid JSON lines: {exc}") from exc
+    if not isinstance(header, dict):
+        raise TraceError(f"{path}: line 1: the header is not an object")
     if header.get("format") != TRACE_FORMAT:
         raise TraceError(f"{path}: unknown trace format {header.get('format')!r}")
     for field in ("scenario", "seed", "variant"):
         if field not in header:
             raise TraceError(f"{path}: header lacks {field!r}")
-    expected = 0
-    for row in rows:
-        if row.get("tick") != expected:
-            raise TraceError(f"{path}: expected tick {expected}, found {row.get('tick')}")
-        expected += 1
+    for expected, row in enumerate(rows):
+        where = f"{path}: line {expected + 2}"
+        if not isinstance(row, dict):
+            raise TraceError(f"{where}: a tick row is not an object")
+        tick = row.get("tick")
+        if tick != expected or type(tick) is not int:
+            raise TraceError(f"{where}: expected tick {expected}, found {tick!r}")
+        observed = row.get("observed")
+        if not isinstance(observed, list) or not all(isinstance(a, str) for a in observed):
+            raise TraceError(f"{where}: 'observed' is not a list of action texts")
+        verdicts = row.get("verdicts")
+        if not isinstance(verdicts, list) or not all(map(_is_verdict, verdicts)):
+            raise TraceError(f"{where}: 'verdicts' is not a list of verdict objects")
     return header, rows
+
+
+def _is_verdict(d) -> bool:
+    """Does ``d`` hold the fields :func:`_verdict_key` reads, as texts?"""
+    return (
+        isinstance(d, dict)
+        and all(isinstance(d.get(k), str) for k in _VERDICT_TEXTS)
+        and isinstance(d.get("constraints", []), list)
+        and all(isinstance(c, str) for c in d.get("constraints", []))
+        and isinstance(d.get("culprit"), (str, type(None)))
+    )
 
 
 def _observations(scenario: Scenario, rows: Sequence[Dict]) -> List[List[ActionInstance]]:

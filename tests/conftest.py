@@ -81,3 +81,12 @@ def small_random_scenario(seed, agents=(2, 4), actions=(2, 6)):
         seed=seed,
     )
     return generate_random(cfg, rng), rng
+
+
+def generated_scenarios():
+    """Office scenarios at two camera ratios and random ones, three seeds
+    each."""
+    for seed in range(3):
+        for ratio in (0.3, 0.7):
+            yield generate_case_study(CaseStudyConfig(camera_ratio=ratio), random.Random(seed))
+        yield generate_random(RandomConfig(agents=3, actions=6), random.Random(seed))

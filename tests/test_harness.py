@@ -7,6 +7,7 @@ from normmon import logic
 from normmon.harness import (
     CaseStudyConfig,
     RandomConfig,
+    applicable_actions,
     generate_case_study,
     generate_random,
     observe,
@@ -18,7 +19,9 @@ from normmon.harness import (
     simulate,
 )
 from normmon.norms import FULFILLED, VIOLATED
-from normmon.scenario import scenario_hash
+from normmon.scenario import scenario_from_dict, scenario_hash, scenario_to_dict
+
+from conftest import generated_scenarios
 
 
 def case_study(seed=0, **kwargs):
@@ -164,27 +167,48 @@ class TestMatchingSkipsUnify:
     @pytest.mark.parametrize("kind", ["fig1", "office", "random"])
     def test_simulate_and_oracle_make_no_unify_calls(self, fig1, kind, monkeypatch):
         if kind == "fig1":
-            scenario = fig1
+            # A scenario fresh from its file, so nothing is ground yet.
+            scenario = scenario_from_dict(scenario_to_dict(fig1))
         elif kind == "office":
             _, scenario, _ = case_study(seed=2, camera_ratio=0.5)
         else:
             scenario = generate_random(RandomConfig(agents=4), random.Random(2))
-        # Grounding joins static preconditions once per scenario; warm it.
-        for agent in scenario.agents:
-            scenario.ground_actions(agent)
-        callers = []
+        calls = []
         original = logic.unify
-
-        def spy(*args):
-            callers.append(sys._getframe(1).f_code)
-            return original(*args)
-
         for name, module in list(sys.modules.items()):
             if name.startswith("normmon") and getattr(module, "unify", None) is original:
-                monkeypatch.setattr(module, "unify", spy)
+                monkeypatch.setattr(module, "unify", lambda *a: calls.append(a) or original(*a))
+        for agent in scenario.agents:
+            scenario.ground_actions(agent)
         log = simulate(scenario, 30, random.Random(5))
-        assert callers == []
         assert oracle_events(scenario, log)
-        # Norm conditions are still joined by unification, in the recursion
-        # of logic.join; matching instances to actions is not.
-        assert set(callers) <= {logic._extend.__code__}
+        assert calls == []
+
+
+class TestIndexedGroundTruth:
+    def test_applicable_actions_agree_with_the_plain_filter(self):
+        for k, scenario in enumerate(generated_scenarios()):
+            log = simulate(scenario, 20, random.Random(k))
+            for state in log.states:
+                for agent in scenario.agents:
+                    expected = [
+                        a
+                        for a in scenario.ground_actions(agent)
+                        if all((atom in state) == sign for atom, sign in a.pre)
+                    ]
+                    assert applicable_actions(scenario, agent, state) == expected
+
+    def test_observe_agrees_with_the_camera_patterns(self):
+        seen = unseen = 0
+        for k, scenario in enumerate(generated_scenarios()):
+            if scenario.observability["mode"] != "cameras":
+                continue
+            log = simulate(scenario, 20, random.Random(k))
+            for executed, observed in zip(log.executed, log.observed):
+                for a in executed:
+                    watched = any(c.matches(a.schema) for c in scenario.cameras)
+                    is_nop = scenario.description(a.name).is_nop
+                    assert (a in observed) == (is_nop or watched)
+                    seen += watched
+                    unseen += not (is_nop or watched)
+        assert seen and unseen

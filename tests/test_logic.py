@@ -261,12 +261,13 @@ class TestConsistency:
             )
 
     def test_three_literal_rule_takes_the_join(self, monkeypatch):
-        calls = []
-        monkeypatch.setattr(logic, "unify", lambda *a: calls.append(a) or unify(*a))
+        runs = []
+        rows = logic.Plan.rows
+        monkeypatch.setattr(logic.Plan, "rows", lambda plan, *a: runs.append(plan) or rows(plan, *a))
         rules = [RULE_SHAPES["three literals"]]
         state = LiteralSet([(("q", "b"), True), (("in", "a", "b"), False)])
         assert not consistent_with(state, [(("p", "a", "b"), True)], NO_STATICS, rules)
-        assert calls
+        assert runs
 
     def test_literal_that_completes_a_rule_with_itself_fires(self):
         rules = [_rule((("p", "X"), True), (("p", "Y"), True))]
@@ -358,6 +359,18 @@ class TestSurvivors:
     )
     # q(a) fires with the static s(a) and still kills s(a) asserted in the state.
     @example(["static partner"], [("s", "a")], [(("s", "a"), True)], [], [[(("q", "a"), True)]])
+    # ... but not where the base asserts s(a) as well, ...
+    @example(
+        ["static partner"], [("s", "a")], [(("s", "a"), True)], [(("s", "a"), True)], [[(("q", "a"), True)]]
+    )
+    # ... nor through a post set that asserts it, while one that does not kills it.
+    @example(
+        ["static partner"],
+        [("s", "a")],
+        [(("s", "a"), True)],
+        [],
+        [[(("q", "a"), True), (("s", "a"), True)], [(("q", "a"), True)]],
+    )
     def test_survivors_agree_with_the_per_literal_check(
         self, shapes, statics, state_literals, base_literals, posts
     ):

@@ -16,13 +16,13 @@ from normmon.harness import (
     simulate,
 )
 from normmon.logic import (
+    ClosedWorld,
     LiteralSet,
+    OpenWorld,
+    Plan,
     StaticFacts,
-    closed_world,
     eval_constraint,
     is_variable,
-    join,
-    open_world,
     subst_atom,
     subst_term,
     unify,
@@ -304,21 +304,24 @@ def closed_world_judgeable(condition, seed):
 
 
 def matches(condition, constraints, world, seed):
-    """The join's matches that no constraint rules out, as norm conditions
-    take them."""
-    return [
-        sigma
-        for sigma in join(condition, seed or {}, world)
-        if all(eval_constraint(c, sigma) is not False for c in constraints)
-    ]
+    """The plan's matches from the seed, as substitutions, that no
+    constraint rules out, as norm conditions take them."""
+    seed = seed or {}
+    plan = Plan(condition, tuple(seed))
+    found = []
+    for row in plan.rows(world, tuple(seed.values())):
+        sigma = dict(zip(plan.slots, row))
+        if all(eval_constraint(c, sigma) is not False for c in constraints):
+            found.append(sigma)
+    return found
 
 
 def open_matches(condition, constraints, state, statics, seed):
-    return matches(condition, constraints, open_world(state, statics), seed)
+    return matches(condition, constraints, OpenWorld(state, statics), seed)
 
 
 def closed_matches(condition, constraints, state, statics, seed):
-    return matches(condition, constraints, closed_world(state, statics), seed)
+    return matches(condition, constraints, ClosedWorld(state, statics), seed)
 
 
 def reference_instances(norms, world):
@@ -369,6 +372,30 @@ class TestConditionMatching:
         StaticFacts([]),
         {"X": "a"},
     )
+    # Membership tests: literals the seed binds entirely, ...
+    @example(
+        [(("p", "X", "a"), True), (("q", "X"), False)],
+        [],
+        {("p", "a", "a"): True, ("p", "b", "a"): True, ("q", "a"): False, ("q", "b"): False},
+        StaticFacts([]),
+        {"X": "a"},
+    )
+    # ... a literal an earlier positive literal binds, ...
+    @example(
+        [(("q", "X"), True), (("p", "X", "X"), True)],
+        [],
+        {("q", "a"): True, ("q", "b"): True, ("p", "a", "a"): True, ("p", "b", "a"): True},
+        StaticFacts([]),
+        None,
+    )
+    # ... and a static fact the state asserts false, which still matches.
+    @example(
+        [(("q", "X"), True), (("s", "X"), True)],
+        [],
+        {("q", "a"): True, ("s", "a"): False},
+        StaticFacts([("s", "a")]),
+        None,
+    )
     def test_open_world_agrees_with_brute_force(self, condition, constraints, signs, statics, seed):
         state = LiteralSet(signs.items())
         world = open_world_order(state, statics)
@@ -403,8 +430,9 @@ class TestConditionMatching:
         condition = [(("q", "X"), True), (("p", "X", "a"), False)]
         state = {("q", "a"), ("q", "b"), ("p", "b", "a")}
         assert closed_matches(condition, [], state, StaticFacts([]), None) == [{"X": "a"}]
-        # One call per q atom; the negative literal is a membership test.
-        assert len(calls) == 2
+        # The q atoms are matched by position; the negative literal is a
+        # membership test.
+        assert calls == []
 
     def test_closed_world_needs_ground_negative_literals(self):
         condition = [(("q", "X"), True), (("p", "X", "Y"), False)]

@@ -7,9 +7,8 @@ import re
 import jsonschema
 import pytest
 
-from normmon.actions import ground_instance
 from normmon.harness import CaseStudyConfig, generate_case_study
-from normmon.logic import eval_constraint, subst_atom
+from normmon.logic import eval_constraint, is_variable, subst_atom
 from normmon.scenario import (
     SCENARIO_SCHEMA,
     ScenarioError,
@@ -22,7 +21,7 @@ from normmon.scenario import (
     scenario_to_dict,
 )
 
-from conftest import FIG1
+from conftest import FIG1, generated_scenarios
 
 
 class TestParsing:
@@ -222,31 +221,42 @@ class TestDecomposable:
         assert scenario_from_dict(data).decomposable
 
 
+def brute_force_ground(scenario, agent):
+    """Ground each non-NOP description over every assignment of its
+    parameters to the scenario's constants, the actor being the agent, that
+    some assignment of the other variables of its static preconditions
+    extends so that each static precondition holds in the static facts and
+    no constraint is false; in schema order."""
+    found = {}
+    for d in scenario.non_nop_descriptions():
+        static_pre = d.split_pre(scenario.dynamic_predicates)[1]
+        params = [p for p in d.params if p != d.actor_param]
+        extra = sorted(
+            {t for atom, _ in static_pre for t in atom[1:] if is_variable(t)} - set(d.params)
+        )
+        for values in itertools.product(scenario.constants(), repeat=len(params) + len(extra)):
+            sigma = {d.actor_param: agent, **dict(zip(params + extra, values))}
+            if all(
+                (subst_atom(sigma, atom) in scenario.statics) == sign for atom, sign in static_pre
+            ) and all(eval_constraint(c, sigma) is not False for c in d.constraints):
+                schema = (d.name, *(sigma[p] for p in d.params))
+                found.setdefault(schema, scenario.instance_from_schema(schema))
+    return [found[schema] for schema in sorted(found)]
+
+
+def _described(actions):
+    return [(a.schema, a.actor, a.pre, a.post, a.con) for a in actions]
+
+
 class TestGroundActions:
     def test_matches_brute_force_instantiation(self, fig1):
-        # Oracle: ground each non-NOP description over every combination of
-        # constants and keep those whose static preconditions and
-        # constraints hold.
-        constants = fig1.constants()
-        dynamic = fig1.dynamic_predicates
-        for agent in fig1.agents:
-            expected = set()
-            for d in fig1.non_nop_descriptions():
-                free = [p for p in d.params if p != d.actor_param]
-                for combo in itertools.product(constants, repeat=len(free)):
-                    sigma = dict(zip(free, combo))
-                    sigma[d.actor_param] = agent
-                    _, static_pre = d.split_pre(dynamic)
-                    ok = all(
-                        (subst_atom(sigma, atom) in fig1.statics) == sign
-                        for atom, sign in static_pre
-                    ) and all(
-                        eval_constraint(c, sigma) is not False for c in d.constraints
-                    )
-                    if ok:
-                        expected.add(ground_instance(d, sigma, dynamic))
-            got = set(fig1.ground_actions(agent))
-            assert got == expected
+        # The ground actions, in order, with their pre, post and concurrency
+        # conditions, on fig1 and on generated office and random scenarios.
+        for scenario in [fig1, *generated_scenarios()]:
+            for agent in scenario.agents:
+                expected = brute_force_ground(scenario, agent)
+                assert expected
+                assert _described(scenario.ground_actions(agent)) == _described(expected)
 
     def test_seven_moves_apply_in_the_initial_state(self, fig1):
         # r1 at a: a->b, a->e; r2 at d: d->a, d->e; r3 at e: e->a, e->d, e->f

@@ -80,3 +80,21 @@ class TestTamperDetection:
         path.write_text("")
         with pytest.raises(TraceError):
             read_trace(str(path))
+
+
+@pytest.mark.parametrize(
+    "row",
+    [
+        {"tick": 0},
+        [0],
+        {"tick": 0, "observed": "move(r1,a,b)", "verdicts": []},
+        {"tick": 0, "observed": ["move(r1,a,b)"], "verdicts": [{"norm": "x"}]},
+    ],
+    ids=["no-observed", "not-an-object", "observed-text", "verdict-fields"],
+)
+def test_malformed_row_raises_trace_error(tmp_path, fig1, row):
+    header = open(RUNNING_EXAMPLE_TRACE).read().splitlines()[0]
+    path = tmp_path / "bad.trace"
+    path.write_text(header + "\n" + json.dumps(row) + "\n")
+    with pytest.raises(TraceError, match="line 2"):
+        replay_trace(fig1, *read_trace(str(path)))
