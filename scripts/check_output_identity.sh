@@ -7,6 +7,10 @@
 # made with `git archive`, and the working tree). The runs use fixed seeds
 # and PYTHONHASHSEED=0. Each run's standard output is kept next to its CSV,
 # as is that of `normmon replay` on the bundled running-example trace.
+# `replay-invalid.out` holds what `normmon replay` prints, on standard output
+# and standard error, for two scenario files that break the schema (fig1 with
+# `agents` as a string, and fig1 with an unknown top-level key), so that the
+# wording of a rejection is compared too.
 # Ground truth is compared directly too: `simulate.out` lists, for a few
 # office and random scenarios, each tick's executed and observed actions
 # and the true state after it, so a change in the simulator's use of its
@@ -64,6 +68,20 @@ PY
     # A replay mismatch exits 1; its report is part of the compared output.
     python -m normmon.cli replay "$fixtures/running-example.trace" "$fixtures/fig1.json" \
         > replay.out || true
+    python - "$fixtures/fig1.json" <<'PY'
+import json
+import sys
+
+with open(sys.argv[1]) as fh:
+    fig1 = json.load(fh)
+for name, spoil in (("agents-as-string", {"agents": "r1"}), ("unknown-key", {"colour": "red"})):
+    with open(f"invalid-{name}.json", "w") as fh:
+        json.dump({**fig1, **spoil}, fh, indent=2, sort_keys=True)
+PY
+    for f in invalid-agents-as-string.json invalid-unknown-key.json; do
+        echo "== $f"
+        python -m normmon.cli replay "$fixtures/running-example.trace" "$f" 2>&1 || true
+    done > replay-invalid.out
     cd - > /dev/null
 done
 

@@ -84,10 +84,11 @@ class ActionInstance:
     pre: FrozenSet[Literal] = field(compare=False)
     con: Tuple[SchemaRef, ...] = field(compare=False)
     post: FrozenSet[Literal] = field(compare=False)
+    # The ground schema, name then arguments; built once, at grounding.
+    schema: Atom = field(init=False, compare=False, repr=False)
 
-    @property
-    def schema(self) -> Atom:
-        return (self.name,) + self.args
+    def __post_init__(self):
+        object.__setattr__(self, "schema", (self.name,) + self.args)
 
     def __repr__(self) -> str:
         return f"{self.name}({','.join(self.args)})"
@@ -125,7 +126,8 @@ def concurrent_condition_satisfied(a: ActionInstance, actions: Sequence[ActionIn
     negative refs exclude matches among the others (an action does not
     clash with its own negative schemata)."""
     for ref in a.con:
-        if any(other is not a and ref.matcher.matches(other.schema) for other in actions) != ref.positive:
+        matches = ref.matcher.matches
+        if any(other is not a and matches(other.schema) for other in actions) != ref.positive:
             return False
     return True
 

@@ -9,11 +9,7 @@ from dataclasses import dataclass, field
 from itertools import compress
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from .actions import (
-    ActionInstance,
-    apply_concurrent,
-    concurrent_condition_satisfied,
-)
+from .actions import ActionInstance, apply_concurrent, concurrent_condition_satisfied
 from .logic import Atom
 from .monitor import NormMonitor, TickRecord
 from .norms import (
@@ -249,21 +245,19 @@ def applicable_actions(scenario: Scenario, agent: str, state: Set[Atom]) -> List
     return list(compress(scenario.ground_actions(agent), map(holds.__getitem__, pre_of)))
 
 
-def _joint_offenders(scenario: Scenario, joint: Sequence[ActionInstance]) -> Set[str]:
+def _joint_offenders(joint: Sequence[ActionInstance]) -> Set[str]:
     """Actors whose action breaks the joint action's consistency: an
-    unsatisfied concurrent condition, or a postcondition clash."""
-    offenders: Set[str] = set()
-    for a in joint:
-        if not concurrent_condition_satisfied(a, joint):
-            offenders.add(a.actor)
-    by_atom: Dict[Atom, Set[bool]] = {}
+    unsatisfied concurrent condition, or a postcondition that another post
+    of the joint action contradicts."""
+    offenders = {a.actor for a in joint if a.con and not concurrent_condition_satisfied(a, joint)}
+    sign_of: Dict[Atom, bool] = {}
+    clashing: Set[Atom] = set()
     for a in joint:
         for atom, sign in a.post:
-            by_atom.setdefault(atom, set()).add(sign)
-    clashing = {atom for atom, signs in by_atom.items() if len(signs) > 1}
-    for a in joint:
-        if any(atom in clashing for atom, _ in a.post):
-            offenders.add(a.actor)
+            if sign_of.setdefault(atom, sign) != sign:
+                clashing.add(atom)
+    if clashing:
+        offenders.update(a.actor for a in joint if any(atom in clashing for atom, _ in a.post))
     return offenders
 
 
@@ -281,7 +275,7 @@ def step_world(
     }
     for _ in range(10):
         joint = [choice[g] for g in agents]
-        offenders = _joint_offenders(scenario, joint)
+        offenders = _joint_offenders(joint)
         if not offenders:
             break
         for g in sorted(offenders):
@@ -291,7 +285,7 @@ def step_world(
     # requirement, so iterate; the all-NOP joint is always consistent.
     while True:
         joint = [choice[g] for g in agents]
-        offenders = _joint_offenders(scenario, joint)
+        offenders = _joint_offenders(joint)
         if not offenders:
             break
         for g in sorted(offenders):

@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import hashlib
 import json
+import numbers
 import re
 from dataclasses import dataclass, field
+from functools import cache
 from itertools import combinations, product
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
-
-import jsonschema
+from typing import Callable, Dict, FrozenSet, List, Optional, Set, Tuple
 
 from .actions import ActionDescription, ActionInstance, SchemaRef, ground_instance
 from .logic import (
@@ -164,10 +164,98 @@ SCENARIO_SCHEMA = {
     },
 }
 
-# Checked and built once; ``jsonschema.validate`` does both on every call.
-_VALIDATOR_CLASS = jsonschema.validators.validator_for(SCENARIO_SCHEMA)
-_VALIDATOR_CLASS.check_schema(SCENARIO_SCHEMA)
-_VALIDATOR = _VALIDATOR_CLASS(SCENARIO_SCHEMA)
+# The JSON Schema type tests, with jsonschema's edge cases: a bool is not an
+# integer or a number, and a float with no fraction is an integer.
+_TYPE_TESTS: Dict[str, Callable[[object], bool]] = {
+    "object": lambda x: isinstance(x, dict),
+    "array": lambda x: isinstance(x, list),
+    "string": lambda x: isinstance(x, str),
+    "boolean": lambda x: isinstance(x, bool),
+    "integer": lambda x: not isinstance(x, bool)
+    and (isinstance(x, int) or isinstance(x, float) and x.is_integer()),
+    "number": lambda x: not isinstance(x, bool) and isinstance(x, numbers.Number),
+}
+
+# The keywords a schema node may carry besides its one ``type``.
+_NODE_KEYWORDS = {
+    "object": {"required", "additionalProperties", "properties"},
+    "array": {"items", "minItems"},
+    "string": {"enum"},
+    "boolean": set(),
+    "integer": {"minimum", "maximum"},
+    "number": {"minimum", "maximum"},
+}
+
+
+def compile_schema(schema: Dict) -> Callable[[object], bool]:
+    """A predicate true of exactly the instances that jsonschema finds valid
+    against ``schema``. Each node must declare one ``type``, and may carry
+    only the keywords that act on that type; anything else raises
+    ``ValueError``, so a schema edit is never accepted unchecked."""
+    kind = schema.get("type")
+    if not isinstance(kind, str) or kind not in _TYPE_TESTS:
+        raise ValueError(f"cannot compile a schema node of type {kind!r}")
+    unknown = schema.keys() - _NODE_KEYWORDS[kind] - {"type"}
+    if unknown:
+        raise ValueError(f"cannot compile the keywords {sorted(unknown)} of a {kind} node")
+    if schema.get("additionalProperties", False) is not False:
+        raise ValueError("cannot compile additionalProperties other than false")
+    # Each check runs only once the type test has passed.
+    checks: List[Callable[[object], bool]] = []
+    if "required" in schema:
+        required = frozenset(schema["required"])
+        checks.append(lambda x: x.keys() >= required)
+    if "additionalProperties" in schema:
+        allowed = frozenset(schema.get("properties", ()))
+        checks.append(lambda x: x.keys() <= allowed)
+    if "properties" in schema:
+        properties = {k: compile_schema(v) for k, v in schema["properties"].items()}
+        checks.append(lambda x: all(fits(x[k]) for k, fits in properties.items() if k in x))
+    if "items" in schema:
+        item = compile_schema(schema["items"])
+        checks.append(lambda x: all(map(item, x)))
+    if "minItems" in schema:
+        least = schema["minItems"]
+        checks.append(lambda x: len(x) >= least)
+    if "enum" in schema:
+        # The value is a string here, so membership is jsonschema's equality.
+        members = frozenset(schema["enum"])
+        checks.append(members.__contains__)
+    # Written as jsonschema compares, so that NaN passes both bounds.
+    if "minimum" in schema:
+        low = schema["minimum"]
+        checks.append(lambda x: not x < low)
+    if "maximum" in schema:
+        high = schema["maximum"]
+        checks.append(lambda x: not x > high)
+    test = _TYPE_TESTS[kind]
+    if not checks:
+        return test
+    return lambda x: test(x) and all(check(x) for check in checks)
+
+
+fits_schema = compile_schema(SCENARIO_SCHEMA)
+
+
+@cache
+def _validator():
+    """jsonschema's validator for the scenario schema, built on the first
+    rejection: it only words the error."""
+    import jsonschema
+
+    return jsonschema.validators.validator_for(SCENARIO_SCHEMA)(SCENARIO_SCHEMA)
+
+
+def _schema_error(data: Dict) -> Optional[str]:
+    """The message ``jsonschema.validate`` would raise for ``data``, or None
+    if ``data`` fits the schema. jsonschema walks only what the compiled
+    predicate rejects."""
+    if fits_schema(data):
+        return None
+    from jsonschema.exceptions import best_match
+
+    error = best_match(_validator().iter_errors(data))
+    return None if error is None else error.message
 
 
 @dataclass
@@ -197,13 +285,13 @@ class Scenario:
     _watched: Dict[Atom, bool] = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
+        self._check_arities()
         self._by_name = {d.name: d for d in self.descriptions}
         self.rules = CompiledRules(self.rules, self.statics)
         posts = [atom for d in self.descriptions for atom, _ in d.post]
         self.dynamic_predicates = frozenset(a[0] for a in posts + list(self.dynamic_atoms))
         self.cameras = tuple(Matcher(parse_atom(c)[0]) for c in self.observability.get("cameras", ()))
         self._groundings = {d.name: self._grounding(d) for d in self.non_nop_descriptions()}
-        self._check_arities()
 
     def _grounding(self, d: ActionDescription) -> Tuple[Plan, Tuple[str, ...]]:
         """The description's static preconditions joined from its actor, and
@@ -417,9 +505,12 @@ def _rule_text(rule: IntegrityRule) -> str:
 def scenario_from_dict(data: Dict) -> Scenario:
     from .norms import Norm  # local import to avoid a cycle
 
-    error = jsonschema.exceptions.best_match(_VALIDATOR.iter_errors(data))
+    error = _schema_error(data)
     if error is not None:
-        raise ScenarioError(f"scenario does not fit the schema: {error.message}")
+        raise ScenarioError(f"scenario does not fit the schema: {error}")
+    repeated = sorted({g for g in data["agents"] if data["agents"].count(g) > 1})
+    if repeated:
+        raise ScenarioError(f"agent {repeated[0]!r} is listed more than once")
     statics = StaticFacts(parse_atom(t)[0] for t in data["statics"])
     rules = tuple(
         IntegrityRule(
@@ -438,6 +529,8 @@ def scenario_from_dict(data: Dict) -> Scenario:
             )
             for c in d.get("con", ())
         )
+        if d["actor"] not in d["params"]:
+            raise ScenarioError(f"action {d['name']}: actor {d['actor']!r} is not one of its parameters")
         descriptions.append(
             ActionDescription(
                 name=d["name"],
@@ -472,17 +565,20 @@ def scenario_from_dict(data: Dict) -> Scenario:
                 priority=n.get("priority", idx),
             )
         )
-    scenario = Scenario(
-        name=data["name"],
-        agents=tuple(data["agents"]),
-        statics=statics,
-        initial_state=frozenset(parse_atom(t)[0] for t in data["initial_state"]),
-        rules=rules,
-        descriptions=tuple(descriptions),
-        norms=tuple(norms),
-        observability=dict(data["observability"]),
-        dynamic_atoms=tuple(parse_atom(t)[0] for t in data.get("dynamic_atoms", ())),
-    )
+    try:
+        scenario = Scenario(
+            name=data["name"],
+            agents=tuple(data["agents"]),
+            statics=statics,
+            initial_state=frozenset(parse_atom(t)[0] for t in data["initial_state"]),
+            rules=rules,
+            descriptions=tuple(descriptions),
+            norms=tuple(norms),
+            observability=dict(data["observability"]),
+            dynamic_atoms=tuple(parse_atom(t)[0] for t in data.get("dynamic_atoms", ())),
+        )
+    except ArityError as exc:
+        raise ScenarioError(str(exc)) from None
     for d in scenario.non_nop_descriptions():
         unbound = _unbound_negative(d.split_pre(scenario.dynamic_predicates)[1], {d.actor_param})
         if unbound is not None:

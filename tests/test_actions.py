@@ -8,6 +8,7 @@ from normmon.actions import (
     joint_pre,
 )
 from normmon.harness import applicable_actions
+from normmon.scenario import parse_atom, scenario_from_dict, scenario_to_dict
 
 
 def applicable(fig1, state):
@@ -26,6 +27,13 @@ class TestInstantiation:
             "r2": ["move(r2,d,a)", "move(r2,d,e)"],
             "r3": ["move(r3,e,a)", "move(r3,e,d)", "move(r3,e,f)"],
         }
+
+
+class TestGroundInstance:
+    def test_schema_is_built_once_and_stays_out_of_identity(self, fig1, inst):
+        a, b = inst("move(r1,a,b)"), inst("move(r1,a,b)")
+        assert a.schema == ("move", "r1", "a", "b") and a.schema is a.schema
+        assert a == b and hash(a) == hash(b) and repr(a) == "move(r1,a,b)"
 
 
 class TestJointActions:
@@ -64,3 +72,52 @@ class TestJointActions:
     def test_effects_equal_joint_post_without_rules_firing(self, fig1, inst):
         acts = [inst("move(r1,a,b)")]
         assert set(effects(acts, fig1.statics, fig1.rules)) >= set(joint_post(acts))
+
+
+def fig1_with_move(fig1, **changes):
+    """fig1 with the move description's keys replaced."""
+    data = scenario_to_dict(fig1)
+    data["action_descriptions"][0].update(changes)
+    return scenario_from_dict(data)
+
+
+def apply_joint(scenario, schemas):
+    joint = [scenario.instance_from_schema(parse_atom(s)[0]) for s in schemas]
+    state = set(scenario.initial_state)
+    return apply_concurrent(joint, state, scenario.statics, scenario.rules, scenario.agents)
+
+
+class TestInconsistentConcurrentAction:
+    """Each joint action below has every precondition true in the initial
+    state, so ``apply_concurrent`` rejects it on the joint check alone."""
+
+    def test_an_actor_with_two_actions(self, fig1):
+        with pytest.raises(InapplicableActionError, match="inconsistent concurrent action"):
+            apply_joint(fig1, ["nop(r1)", "move(r1,a,b)", "nop(r2)", "nop(r3)"])
+
+    def test_an_agent_without_an_action(self, fig1):
+        with pytest.raises(InapplicableActionError, match="inconsistent concurrent action"):
+            apply_joint(fig1, ["nop(r1)", "nop(r2)"])
+
+    def test_an_unmet_positive_concurrency_condition(self, fig1):
+        # A move needs some other robot to move at the same time.
+        scenario = fig1_with_move(fig1, con=[{"schema": "move(S,X,Y)", "positive": True}])
+        with pytest.raises(InapplicableActionError, match="inconsistent concurrent action"):
+            apply_joint(scenario, ["move(r1,a,b)", "nop(r2)", "nop(r3)"])
+        apply_joint(scenario, ["move(r1,a,b)", "move(r2,d,e)", "nop(r3)"])
+
+    def test_an_unmet_negative_concurrency_condition(self, fig1):
+        # A move is excluded while any robot waits.
+        scenario = fig1_with_move(fig1, con=[{"schema": "nop(S)", "positive": False}])
+        with pytest.raises(InapplicableActionError, match="inconsistent concurrent action"):
+            apply_joint(scenario, ["move(r1,a,b)", "nop(r2)", "nop(r3)"])
+        apply_joint(scenario, ["move(r1,a,b)", "move(r2,d,e)", "move(r3,e,f)"])
+
+    def test_posts_that_assert_an_atom_with_opposite_signs(self, fig1):
+        # A move lights the office it enters and darkens the one it leaves:
+        # r1 leaves a as r2 enters it.
+        move = scenario_to_dict(fig1)["action_descriptions"][0]
+        scenario = fig1_with_move(fig1, post=move["post"] + ["lit(O2)", "-lit(O1)"])
+        with pytest.raises(InapplicableActionError, match="inconsistent concurrent action"):
+            apply_joint(scenario, ["move(r1,a,b)", "move(r2,d,a)", "nop(r3)"])
+        apply_joint(scenario, ["move(r1,a,b)", "move(r2,d,e)", "nop(r3)"])

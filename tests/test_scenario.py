@@ -1,18 +1,28 @@
 import copy
+import functools
 import itertools
 import json
+import math
+import os
 import random
 import re
+import subprocess
+import sys
 
 import jsonschema
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from normmon.harness import CaseStudyConfig, generate_case_study
+import normmon
+from normmon.harness import CaseStudyConfig, RandomConfig, generate_case_study, generate_random
 from normmon.logic import eval_constraint, is_variable, subst_atom
 from normmon.scenario import (
     SCENARIO_SCHEMA,
     ScenarioError,
+    compile_schema,
     dump_scenario,
+    fits_schema,
     parse_atom,
     parse_constraint,
     parse_literal,
@@ -139,6 +149,26 @@ class TestRoundTrip:
         with pytest.raises(ScenarioError, match="unknown action 'fly'"):
             scenario_from_dict(data)
 
+    def test_actor_outside_the_parameters_rejected(self, fig1):
+        data = scenario_to_dict(fig1)
+        data["action_descriptions"][0]["actor"] = "Q"
+        with pytest.raises(ScenarioError, match="action move: actor 'Q' is not one of its parameters"):
+            scenario_from_dict(data)
+
+    def test_predicate_with_two_arities_rejected(self, fig1):
+        data = scenario_to_dict(fig1)
+        data["statics"].append("robot(r1,x)")
+        with pytest.raises(ScenarioError, match="predicate robot used with arity"):
+            scenario_from_dict(data)
+
+    def test_agent_listed_twice_rejected(self, fig1):
+        # Each agent acts once per tick; a repeated name would put its
+        # action into the joint action twice.
+        data = scenario_to_dict(fig1)
+        data["agents"].append("r1")
+        with pytest.raises(ScenarioError, match="agent 'r1' is listed more than once"):
+            scenario_from_dict(data)
+
 
 def _drop_norms(data):
     del data["norms"]
@@ -190,6 +220,136 @@ class TestSchemaErrors:
     def test_schema_is_a_valid_schema(self):
         cls = jsonschema.validators.validator_for(SCENARIO_SCHEMA)
         cls.check_schema(SCENARIO_SCHEMA)
+
+
+# Values a spoil puts in place: every JSON type, and jsonschema's edge
+# cases (bools beside integers, 1.0, NaN and the infinities).
+SPOIL_VALUES = [
+    True, False, 0, 1, 1.0, 1.5, -1, 2, math.nan, math.inf, -math.inf,
+    "", "x", "O", "P", "cameras", None, [], ["x"], [1], {}, {"schema": "nop(S)"},
+]
+
+
+@functools.cache
+def generator_dicts():
+    """Dicts as the generators write them: office scenarios at even
+    indices, random ones at odd indices."""
+    out = []
+    for seed in range(2):
+        office = generate_case_study(CaseStudyConfig(camera_ratio=0.5), random.Random(seed))
+        out.append(scenario_to_dict(office))
+        out.append(scenario_to_dict(generate_random(RandomConfig(agents=3, actions=6), random.Random(seed))))
+    return out
+
+
+def _position(node, step):
+    """The key or index that ``step`` names in ``node``: a string names a
+    key, an integer the key in sorted order or the index, modulo the size;
+    None where there is none."""
+    if isinstance(node, dict):
+        if isinstance(step, str):
+            return step if step in node else None
+        return sorted(node)[step % len(node)] if node else None
+    if isinstance(node, list) and isinstance(step, int) and node:
+        return step % len(node)
+    return None
+
+
+def spoil(data, path, op, value):
+    """Follow ``path`` into ``data`` and, at its last step, set the value
+    there, drop it, or add one (a new key of a dict, or an item appended to
+    a list). A path that leaves the data changes nothing."""
+    node = data
+    for step in path[:-1]:
+        key = _position(node, step)
+        if key is None:
+            return
+        node = node[key]
+    if op == "add" and isinstance(node, list):
+        node.append(value)
+    elif op == "add" and isinstance(node, dict):
+        node[path[-1] if isinstance(path[-1], str) else "extra"] = value
+    else:
+        key = _position(node, path[-1])
+        if key is None:
+            return
+        if op == "set":
+            node[key] = value
+        else:
+            del node[key]
+
+
+spoils = st.lists(
+    st.tuples(
+        st.lists(st.integers(0, 40), min_size=1, max_size=5),
+        st.sampled_from(["set", "drop", "add"]),
+        st.sampled_from(SPOIL_VALUES),
+    ),
+    min_size=1,
+    max_size=3,
+)
+
+
+class TestCompiledSchema:
+    """``fits_schema`` is the scenario schema compiled to a predicate;
+    jsonschema is the reference it must agree with."""
+
+    @given(st.integers(0, 3), spoils)
+    @settings(max_examples=300, deadline=None)
+    @example(0, [(["norms", 0, "priority"], "set", True)])
+    @example(0, [(["norms", 0, "priority"], "set", 1.0)])
+    @example(0, [(["norms", 0, "priority"], "set", 1.5)])
+    @example(0, [(["norms", 0, "deontic"], "set", "Q")])
+    @example(1, [(["observability", "probability"], "set", math.nan)])
+    @example(1, [(["observability", "probability"], "set", math.inf)])
+    @example(1, [(["observability", "probability"], "set", True)])
+    @example(1, [(["observability", "probability"], "set", 1)])
+    @example(1, [(["observability", "mode"], "set", "cameras")])
+    @example(0, [(["action_descriptions", 0, "nop"], "set", 0)])
+    @example(0, [(["action_descriptions", 0, "con"], "add", {"schema": "nop(S)"})])
+    @example(0, [(["action_descriptions", 0, "con"], "add", {"schema": "nop(S)", "extra": 1})])
+    @example(0, [(["rules", 0, "body"], "set", [])])
+    @example(0, [(["agents"], "set", "r1")])
+    @example(0, [(["observability", "colour"], "add", "red")])
+    @example(0, [(["dynamic_atoms"], "drop", None)])
+    @example(0, [(["name"], "drop", None)])
+    @example(1, [(["statics", 0], "set", 1)])
+    def test_agrees_with_jsonschema(self, base, changes):
+        data = copy.deepcopy(generator_dicts()[base])
+        for path, op, value in changes:
+            spoil(data, path, op, value)
+        validator = jsonschema.validators.validator_for(SCENARIO_SCHEMA)(SCENARIO_SCHEMA)
+        assert fits_schema(data) == validator.is_valid(data)
+        if not fits_schema(data):
+            with pytest.raises(ScenarioError) as raised:
+                scenario_from_dict(data)
+            expected = jsonschema.exceptions.best_match(validator.iter_errors(data)).message
+            assert str(raised.value) == "scenario does not fit the schema: " + expected
+
+    @pytest.mark.parametrize(
+        "schema",
+        [
+            {"type": "string", "pattern": "^a"},
+            {"type": ["string", "null"]},
+            {"items": {"type": "string"}},
+            {"type": "string", "minItems": 1},
+            {"type": "object", "additionalProperties": {"type": "string"}},
+            {"type": "object", "properties": {"a": {"type": "string", "format": "date"}}},
+        ],
+    )
+    def test_a_keyword_it_does_not_compile_raises(self, schema):
+        with pytest.raises(ValueError, match="cannot compile"):
+            compile_schema(schema)
+
+    def test_importing_the_package_does_not_load_jsonschema(self):
+        env = dict(os.environ)
+        src = os.path.dirname(os.path.dirname(normmon.__file__))
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        subprocess.run(
+            [sys.executable, "-c", "import normmon, sys; assert 'jsonschema' not in sys.modules"],
+            env=env,
+            check=True,
+        )
 
 
 class TestDecomposable:
