@@ -15,7 +15,10 @@
 # office and random scenarios, each tick's executed and observed actions
 # and the true state after it, so a change in the simulator's use of its
 # random stream or in its action order shows up even where the scores do
-# not move. The script prints one line per compared file and exits non-zero
+# not move. `oracle.out` lists, for the same scenarios, every event of the
+# omniscient judge (`harness.oracle_events`): tick, norm, controlled action,
+# residual constraints, status and offender, which the score CSVs show only
+# as counts. The script prints one line per compared file and exits non-zero
 # if any pair differs.
 set -eu
 before=$1 after=$2 out=$3
@@ -43,27 +46,33 @@ for side in before after; do
         run "random-$v" random --agents-min 1 --agents-max 4 --obs-prob 0.3 \
             --reps 30 --steps 40 --seed 5 --variant "$v" --trace "random-$v.trace"
     done
-    python - > simulate.out <<'PY'
+    python - <<'PY'
 import random
 
 from normmon.harness import (
-    CaseStudyConfig, RandomConfig, generate_case_study, generate_random, simulate,
+    CaseStudyConfig, RandomConfig, generate_case_study, generate_random, oracle_events, simulate,
 )
 from normmon.logic import atom_text
+from normmon.scenario import constraint_text
 
-for kind, generate, cfg in (
-    ("office", generate_case_study, CaseStudyConfig(camera_ratio=0.4)),
-    ("random", generate_random, RandomConfig(agents=4, observation_probability=0.5)),
-):
-    for seed in range(4):
-        rng = random.Random(seed)
-        scenario = generate(cfg, rng)
-        log = simulate(scenario, 40, rng)
-        print(kind, seed, *sorted(map(atom_text, log.states[0])))
-        for t, (executed, observed) in enumerate(zip(log.executed, log.observed)):
-            print(t, "executed", *executed)
-            print(t, "observed", *observed)
-            print(t, "state", *sorted(map(atom_text, log.states[t + 1])))
+with open("simulate.out", "w") as sim, open("oracle.out", "w") as oracle:
+    for kind, generate, cfg in (
+        ("office", generate_case_study, CaseStudyConfig(camera_ratio=0.4)),
+        ("random", generate_random, RandomConfig(agents=4, observation_probability=0.5)),
+    ):
+        for seed in range(4):
+            rng = random.Random(seed)
+            scenario = generate(cfg, rng)
+            log = simulate(scenario, 40, rng)
+            print(kind, seed, *sorted(map(atom_text, log.states[0])), file=sim)
+            for t, (executed, observed) in enumerate(zip(log.executed, log.observed)):
+                print(t, "executed", *executed, file=sim)
+                print(t, "observed", *observed, file=sim)
+                print(t, "state", *sorted(map(atom_text, log.states[t + 1])), file=sim)
+            print(kind, seed, file=oracle)
+            for e in oracle_events(scenario, log):
+                residuals = ",".join(map(constraint_text, e.constraints)) or "-"
+                print(e.tick, e.norm_id, atom_text(e.action), residuals, e.status, e.offender, file=oracle)
 PY
     # A replay mismatch exits 1; its report is part of the compared output.
     python -m normmon.cli replay "$fixtures/running-example.trace" "$fixtures/fig1.json" \

@@ -17,7 +17,8 @@ from .norms import (
     IDENTIFIED,
     UNKNOWN,
     VIOLATED,
-    matching_actions,
+    by_name,
+    first_match,
     relevant_instances_closed,
     status_of,
 )
@@ -343,19 +344,20 @@ class GroundTruthEvent:
 
 
 def oracle_events(scenario: Scenario, log: GroundTruthLog) -> List[GroundTruthEvent]:
-    """Definite verdicts of an omniscient judge over the full run."""
+    """Definite verdicts of an omniscient judge over the full run. An
+    event's offender is the actor of the instance's matching executed action
+    of least schema."""
     events = []
     for t, executed in enumerate(log.executed):
-        instances = relevant_instances_closed(
-            scenario.norms, log.states[t], scenario.statics, born_at=t
-        )
+        instances = relevant_instances_closed(scenario.norms, log.states[t], scenario.statics)
         complete = len(executed) == len(scenario.agents)
+        groups = by_name(executed)
         for inst in instances:
-            matches = matching_actions(inst, executed)
-            status = status_of(inst, bool(matches), complete)
+            match = first_match(inst, groups)
+            status = status_of(inst, match is not None, complete)
             if status == UNKNOWN:  # cannot happen on complete logs
                 continue
-            offender = matches[0].actor if matches else None
+            offender = match.actor if match else None
             events.append(
                 GroundTruthEvent(t, inst.norm_id, inst.action, inst.constraints, status, offender)
             )

@@ -252,9 +252,12 @@ class Plan:
     lists for it, in that order, binding its new variables by position and
     checking its constants and bound variables. No step unifies. A match is
     a row: each variable's value at its slot (``slots``), the seed's first.
+    A plan without variables has at most the empty row, which it yields
+    when each of its literals holds: ``tests``, as (atom, sign) pairs, lets
+    a caller decide that by lookups alone; it is None for any other plan.
     """
 
-    __slots__ = ("slots", "steps")
+    __slots__ = ("slots", "steps", "tests")
 
     def __init__(self, literals: Sequence[Literal], bound: Sequence[str] = ()):
         slots: Dict[str, int] = {v: i for i, v in enumerate(bound)}
@@ -275,6 +278,7 @@ class Plan:
             steps.append((atom[0], sign, len(atom), (tuple(binds), tuple(checks))))
         self.slots = slots
         self.steps = tuple(steps)
+        self.tests = None if slots else tuple(((pred, *how), sign) for pred, sign, _, how in steps)
 
     def rows(self, world: OpenWorld | ClosedWorld, seed: Sequence[str] = ()) -> Iterator[List[str]]:
         """Every match in the world that extends the seed's values, in the
@@ -331,21 +335,25 @@ class OpenWorld:
 
 class ClosedWorld:
     """A full state, the set of true dynamic atoms, plus the static facts;
-    every other atom is false. The state is indexed once, here. A negative
-    literal can only be tested, so a plan must bind its variables first."""
+    every other atom is false. The state is indexed once, when a plan first
+    lists atoms; membership tests need no index. A negative literal can only
+    be tested, so a plan must bind its variables first."""
 
     __slots__ = ("state", "statics", "_by_pred")
 
     def __init__(self, state: Collection[Atom], statics: StaticFacts):
         self.state, self.statics = state, statics
-        self._by_pred: Dict[str, List[Atom]] = {}
-        for a in state:
-            self._by_pred.setdefault(a[0], []).append(a)
+        self._by_pred: Optional[Dict[str, List[Atom]]] = None
 
     def candidates(self, pred: str, sign: bool) -> Iterable[Atom]:
         if not sign:
             raise ValueError(f"negative {pred} literal not ground under closed-world match")
-        found, more = self._by_pred.get(pred), self.statics.with_pred(pred)
+        by_pred = self._by_pred
+        if by_pred is None:
+            by_pred = self._by_pred = {}
+            for a in self.state:
+                by_pred.setdefault(a[0], []).append(a)
+        found, more = by_pred.get(pred), self.statics.with_pred(pred)
         return [*found, *(a for a in more if a not in self.state)] if found else more
 
     def holds(self, atom: Atom, sign: bool) -> bool:

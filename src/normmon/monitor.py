@@ -24,8 +24,9 @@ from .norms import (
     VIOLATED,
     NormInstance,
     Verdict,
+    by_name,
+    first_match,
     instance_matches,
-    matching_actions,
     relevant_instances,
     status_of,
 )
@@ -77,11 +78,11 @@ def check_norms(
     p: LiteralSet,
     acts: Sequence[ActionInstance],
     discovered: Sequence[Tuple[ActionInstance, str]],
-    born_at: int,
     instances: Optional[Sequence[NormInstance]] = None,
 ) -> Tuple[Verdict, ...]:
     """Judge every norm instance relevant in p against the tick's actions;
     ``instances`` are those instances when the caller has them already.
+    An instance's witness is its matching action of least schema.
 
     Definite judgements come out as identified verdicts; each
     (action, status) pair of the discovered set yields a discovered verdict
@@ -91,15 +92,15 @@ def check_norms(
     nothing.
     """
     if instances is None:
-        instances = relevant_instances(scenario.norms, p, scenario.statics, born_at=born_at)
+        instances = relevant_instances(scenario.norms, p, scenario.statics)
     verdicts: List[Verdict] = []
     complete = len(acts) == len(scenario.agents)
+    groups = by_name(acts)
     for inst in instances:
-        matches = matching_actions(inst, acts)
-        status = status_of(inst, bool(matches), complete)
+        witness = first_match(inst, groups)
+        status = status_of(inst, witness is not None, complete)
         if status == UNKNOWN:
             continue
-        witness = matches[0] if matches else None
         culprit = witness.actor if witness else None
         verdicts.append(Verdict(inst, status, IDENTIFIED, culprit=culprit, witness=witness))
     for a, status in sorted(discovered, key=lambda x: x[0].schema):
@@ -173,7 +174,7 @@ class NormMonitor:
             )
         else:
             outcome, acts = approximate_reconstruct(
-                self.scenario, self.prev, self.curr, acts, targets, born_at=self.tick - 1
+                self.scenario, self.prev, self.curr, acts, targets
             )
         return outcome, acts, time.perf_counter() - start
 
@@ -194,7 +195,6 @@ class NormMonitor:
             self.prev,
             acts,
             list(zip(outcome.discovered, outcome.discovered_statuses)),
-            born_at=self.tick - 1,
             instances=outcome.instances,
         )
         return TickRecord(

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import attrgetter
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .actions import ActionInstance, SchemaRef
@@ -40,8 +41,9 @@ class Norm:
     constraints: Tuple[Constraint, ...]
     action: SchemaRef
     priority: int = 0  # declaration order by default; lower = more important
-    # Compiled instance actions by (action, residuals), shared across ticks.
-    matchers: Dict[Tuple, Matcher] = field(default_factory=dict, init=False, compare=False, repr=False)
+    # The instance of each (action, residuals) key, built on first match and
+    # shared by every tick and state that match it again.
+    instances: Dict[Tuple, "NormInstance"] = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.deontic not in (OBLIGATION, PROHIBITION):
@@ -80,66 +82,87 @@ class Norm:
         residual = tuple((value(left), rel, value(right)) for left, rel, right in open_)
         return (self.action.name, *map(value, action)), residual
 
+    def instance(self, key: Tuple[Atom, Tuple[Constraint, ...]]) -> "NormInstance":
+        """The norm's one instance for an :meth:`instance_key`."""
+        inst = self.instances.get(key)
+        if inst is None:
+            inst = self.instances[key] = NormInstance(self, self.id, *key)
+        return inst
+
+    @cached_property
+    def ground_instance(self) -> Optional["NormInstance"]:
+        """For a condition without variables (``plan.tests``), its only
+        instance, or None when a constraint is false on constants alone."""
+        key = self.instance_key(())
+        return None if key is None else self.instance(key)
+
 
 @dataclass(frozen=True, slots=True)
 class NormInstance:
     """A norm whose condition matched; carries the (partially) instantiated
     controlled action. Variables not bound by the condition stay free and
     are matched, with the residual constraints, against concrete actions
-    when judging, through the compiled form that the norm keeps for every
-    instance with this action and these residuals."""
+    when judging, through the compiled form built with the instance. The
+    norm interns its instances (:meth:`Norm.instance`): every match with
+    this action and these residuals, on any tick, returns this object, so
+    it belongs to no tick itself."""
 
     norm: Norm = field(compare=False)
     norm_id: str
     action: Atom  # (name, *args), possibly with free variables
     constraints: Tuple[Constraint, ...] = ()  # residual, over free variables
-    born_at: int = field(default=-1, compare=False)
     matcher: Matcher = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        key = (self.action, self.constraints)
-        matcher = self.norm.matchers.get(key)
-        if matcher is None:
-            matcher = self.norm.matchers[key] = Matcher(*key)
-        object.__setattr__(self, "matcher", matcher)
+        object.__setattr__(self, "matcher", Matcher(self.action, self.constraints))
 
 
 def relevant_instances(
     norms: Sequence[Norm],
     state: LiteralSet,
     statics: StaticFacts,
-    born_at: int = -1,
 ) -> List[NormInstance]:
     """Instances whose condition is satisfied by an open-world partial state.
 
     Distinct substitutions mapping to the same ground action are merged.
     """
-    return _instances(norms, OpenWorld(state, statics), born_at)
+    return _instances(norms, OpenWorld(state, statics))
 
 
 def relevant_instances_closed(
     norms: Sequence[Norm],
     state: Set[Atom],
     statics: StaticFacts,
-    born_at: int = -1,
 ) -> List[NormInstance]:
     """Closed-world counterpart, used by the omniscient judge."""
-    return _instances(norms, ClosedWorld(state, statics), born_at)
+    return _instances(norms, ClosedWorld(state, statics))
 
 
-def _instances(norms: Sequence[Norm], world: OpenWorld | ClosedWorld, born_at: int) -> List[NormInstance]:
+def _instances(norms: Sequence[Norm], world: OpenWorld | ClosedWorld) -> List[NormInstance]:
     """The instances of each norm whose condition matches in the world. A
     constraint false under the match drops it; one left unbound stays on the
     instance as a residual. Matches giving one action and the same residuals
-    make one instance."""
+    make one instance. A condition without variables is decided by one
+    membership test per literal."""
     out: List[NormInstance] = []
+    holds = world.holds
     for norm in norms:
+        tests = norm.plan.tests
+        if tests is not None:
+            inst = norm.ground_instance
+            if inst is not None:
+                for atom, sign in tests:
+                    if not holds(atom, sign):
+                        break
+                else:
+                    out.append(inst)
+            continue
         seen = set()
         for row in norm.plan.rows(world):
             key = norm.instance_key(row)
             if key is not None and key not in seen:
                 seen.add(key)
-                out.append(NormInstance(norm, norm.id, *key, born_at))
+                out.append(norm.instance(key))
     return out
 
 
@@ -147,15 +170,33 @@ def instance_matches(inst: NormInstance, schema: Atom) -> bool:
     return inst.matcher.matches(schema)
 
 
-def matching_actions(inst: NormInstance, acts: Iterable[ActionInstance]) -> List[ActionInstance]:
-    return sorted((a for a in acts if inst.matcher.matches(a.schema)), key=lambda a: a.schema)
+_schema = attrgetter("schema")
+
+
+def by_name(acts: Iterable[ActionInstance]) -> Dict[str, List[ActionInstance]]:
+    """A tick's actions grouped by name, each group in schema order, for
+    :func:`first_match`."""
+    groups: Dict[str, List[ActionInstance]] = {}
+    for a in sorted(acts, key=_schema):
+        groups.setdefault(a.schema[0], []).append(a)
+    return groups
+
+
+def first_match(inst: NormInstance, groups: Dict[str, List[ActionInstance]]) -> Optional[ActionInstance]:
+    """The action of least schema among ``groups`` (see :func:`by_name`)
+    that matches the instance, or None."""
+    matches = inst.matcher.matches
+    for a in groups.get(inst.matcher.name, ()):
+        if matches(a.schema):
+            return a
+    return None
 
 
 def judge(inst: NormInstance, acts: Sequence[ActionInstance], agent_count: int) -> str:
     """A matching action fulfils an obligation and violates a prohibition;
     a complete joint action without one does the opposite. Otherwise the
     instance stays unknown."""
-    matched = any(inst.matcher.matches(a.schema) for a in acts)
+    matched = first_match(inst, by_name(acts)) is not None
     return status_of(inst, matched, len(acts) == agent_count)
 
 

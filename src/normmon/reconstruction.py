@@ -339,7 +339,6 @@ def approximate_reconstruct(
     f: LiteralSet,
     observed: Sequence[ActionInstance],
     targets: Iterable[str],
-    born_at: int = -1,
 ) -> Tuple[ReconstructionOutcome, List[ActionInstance]]:
     """Polynomial reconstruction plus the discovered-verdict set.
 
@@ -349,7 +348,7 @@ def approximate_reconstruct(
     mandatory), yield one representative action in the discovered set: the
     monitor knows some instance was violated (fulfilled) without knowing
     which action was executed. The norm instances relevant in the updated
-    i, born at ``born_at``, go into the outcome for the norm check.
+    i go into the outcome for the norm check.
     """
     targets = sorted(targets)
     acts = sorted(observed, key=lambda a: a.schema)
@@ -367,7 +366,7 @@ def approximate_reconstruct(
         post_sets = (a.post for row in table.values() for a in row)
         acts = _commit(scenario, i, f, acts, reconstructed, post_sets)
 
-    instances = relevant_instances(scenario.norms, i, scenario.statics, born_at=born_at)
+    instances = relevant_instances(scenario.norms, i, scenario.statics)
     prohibitions = [n for n in instances if n.norm.deontic == PROHIBITION]
     obligations = [n for n in instances if n.norm.deontic == OBLIGATION]
     discovered: List[ActionInstance] = []

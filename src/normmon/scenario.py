@@ -599,15 +599,16 @@ def scenario_from_dict(data: Dict) -> Scenario:
             broken = next(r for r in scenario.rules if not is_consistent(initial, scenario.statics, [r]))
             raise ScenarioError(f"the initial state breaks the rule {_rule_text(broken)}")
         known.add(literal)
-    refs = [(f"norm {n.id}", n.action) for n in scenario.norms]
-    refs += [(f"action {d.name}", ref) for d in scenario.descriptions for ref in d.con]
-    for where, ref in refs:
-        d = scenario._by_name.get(ref.name)
+    refs = [(f"norm {n.id}", n.action.pattern()) for n in scenario.norms]
+    refs += [(f"action {d.name}", ref.pattern()) for d in scenario.descriptions for ref in d.con]
+    refs += [(f"camera {c}", parse_atom(c)[0]) for c in scenario.observability.get("cameras", ())]
+    for where, pattern in refs:
+        d = scenario._by_name.get(pattern[0])
         if d is None:
-            raise ScenarioError(f"{where} refers to unknown action {ref.name!r}")
-        if len(ref.params) != len(d.params):
+            raise ScenarioError(f"{where} refers to unknown action {pattern[0]!r}")
+        if len(pattern) - 1 != len(d.params):
             raise ScenarioError(
-                f"{where}: {atom_text(ref.pattern())} does not fit the parameters of {d.name}"
+                f"{where}: {atom_text(pattern)} does not fit the parameters of {d.name}"
             )
     return scenario
 
@@ -653,7 +654,7 @@ def scenario_to_dict(s: Scenario) -> Dict:
             }
             for n in s.norms
         ],
-        "observability": s.observability,
+        "observability": {k: list(v) if k == "cameras" else v for k, v in s.observability.items()},
     }
 
 

@@ -120,9 +120,7 @@ def _check_tick_records(scenario, log, records, events, label, failures):
         for a in rec.reconstructed:
             if a not in executed:
                 failures.append(f"{label} tick {rec.tick}: reconstructed {a} never executed")
-        instances = relevant_instances_closed(
-            scenario.norms, truth, scenario.statics, born_at=rec.tick
-        )
+        instances = relevant_instances_closed(scenario.norms, truth, scenario.statics)
         prohibitions = [n for n in instances if n.norm.deontic == PROHIBITION]
         obligations = [n for n in instances if n.norm.deontic == OBLIGATION]
         for v in rec.verdicts:

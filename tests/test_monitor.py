@@ -14,7 +14,8 @@ from normmon.monitor import (
     NormMonitor,
     SensorFault,
 )
-from normmon.norms import DISCOVERED, IDENTIFIED, VIOLATED
+from normmon.logic import LiteralSet
+from normmon.norms import DISCOVERED, IDENTIFIED, VIOLATED, relevant_instances
 
 
 @pytest.fixture
@@ -157,7 +158,13 @@ class TestReconstructingTicks:
         assert records[0].reconstruction_ran
         for record in records:
             assert record.verdicts
-            assert all(v.instance.born_at == record.tick for v in record.verdicts)
+            # Each verdict judges an instance of the state the record closed
+            # its tick with: the very object the norm interned for it.
+            relevant = relevant_instances(
+                fig1.norms, LiteralSet(record.state_snapshot), fig1.statics
+            )
+            for v in record.verdicts:
+                assert any(v.instance is inst for inst in relevant)
 
 
 class TestSensorFaults:

@@ -10,9 +10,11 @@ from normmon import logic
 from normmon.actions import SchemaRef
 from normmon.harness import (
     CaseStudyConfig,
+    GroundTruthLog,
     RandomConfig,
     generate_case_study,
     generate_random,
+    oracle_events,
     simulate,
 )
 from normmon.logic import (
@@ -27,6 +29,7 @@ from normmon.logic import (
     subst_term,
     unify,
 )
+from normmon.monitor import check_norms
 from normmon.norms import (
     FULFILLED,
     OBLIGATION,
@@ -124,6 +127,25 @@ class TestJudging:
             o_verdict = judge(mirrored, acts, agent_count)
             assert o_verdict == swap[p_verdict]
 
+    def test_witness_and_offender_are_the_match_of_least_schema(self, fig1, inst):
+        # Both moves into a match the instance for a (r1 is there); given in
+        # the opposite order, each judge still names the least schema.
+        state = [(("in", "r1", "a"), True), (("in", "r2", "d"), True), (("in", "r3", "e"), True)]
+        moves = [inst("move(r3,e,a)"), inst("move(r2,d,a)")]
+        (verdict,) = [
+            v
+            for v in check_norms(fig1, LiteralSet(state), moves, [])
+            if v.instance.action[3] == "a"
+        ]
+        assert (verdict.status, verdict.witness, verdict.culprit) == (VIOLATED, moves[1], "r2")
+        log = GroundTruthLog(
+            states=[{atom for atom, _ in state}],
+            executed=[[inst("move(r1,a,b)"), *moves]],
+            observed=[[]],
+        )
+        (event,) = [e for e in oracle_events(fig1, log) if e.action[3] == "a"]
+        assert (event.status, event.offender) == (VIOLATED, "r2")
+
 
 def unified_match(action, constraints, schema):
     """The matching rule of a norm instance, by unification."""
@@ -147,6 +169,40 @@ ground_schemas = st.builds(
 residuals = st.lists(
     st.tuples(terms, st.sampled_from(["=", "!="]), terms), max_size=2
 )
+
+
+class TestInterning:
+    def test_two_states_share_the_instance_of_one_key(self, fig1):
+        # r1 in a, then r1 and r2 apart: the instance for a is one object.
+        (alone,) = collision_instances(fig1, [(("in", "r1", "a"), True)])
+        both = collision_instances(fig1, [(("in", "r2", "d"), True), (("in", "r1", "a"), True)])
+        assert [i for i in both if i.action == alone.action] == [alone]
+        assert any(i is alone for i in both)
+        closed = relevant_instances_closed(fig1.norms, {("in", "r1", "a")}, fig1.statics)
+        assert closed[0] is alone
+
+    def test_a_ground_condition_keeps_one_instance(self):
+        condition = [(("q", "a"), True), (("p", "a", "b"), False)]
+        norms = _norms(condition, [])
+        statics = StaticFacts([])
+        holds = LiteralSet([(("q", "a"), True), (("p", "a", "b"), False)])
+        first = relevant_instances(norms, holds, statics)
+        holds.add((("q", "b"), True))
+        again = relevant_instances(norms, holds, statics)
+        assert len(first) == 2 and all(x is y for x, y in zip(first, again))
+        assert relevant_instances(norms, LiteralSet([(("q", "a"), True)]), statics) == []
+
+    def test_norms_never_share_an_instance(self):
+        # n and m control the same action with no residuals: equal
+        # instances, one per norm.
+        condition = [(("q", "X"), True)]
+        norms = _norms(condition, [])
+        got = relevant_instances(norms, LiteralSet([(("q", "a"), True)]), StaticFacts([]))
+        n, m = got
+        assert (n.action, n.constraints) == (m.action, m.constraints)
+        assert n is not m and (n.norm, m.norm) == (norms[0], norms[1])
+        assert n.norm.instances.keys() == m.norm.instances.keys()
+        assert n.norm.instances[(n.action, ())] is n and m.norm.instances[(m.action, ())] is m
 
 
 class TestCompiledMatching:
@@ -181,9 +237,9 @@ class TestCompiledMatching:
                     for a in scenario.ground_actions(g) + (scenario.nop_instance(g),)
                 ]
                 log = simulate(scenario, 10, random.Random(k))
-                for t, state in enumerate(log.states):
+                for state in log.states:
                     for instance in relevant_instances_closed(
-                        scenario.norms, state, scenario.statics, born_at=t
+                        scenario.norms, state, scenario.statics
                     ):
                         for schema in schemas:
                             expected = unified_match(
@@ -446,6 +502,17 @@ class TestConditionMatching:
         static_sets,
     )
     @settings(max_examples=300, deadline=None)
+    # An empty condition holds everywhere: one instance per norm.
+    @example([], [], {("q", "a"): True}, StaticFacts([]))
+    # A condition of constants only, a negative literal over an absent atom.
+    @example(
+        [(("p", "a", "b"), True), (("q", "b"), False), (("s", "a"), True)],
+        [("W", "!=", "a")],
+        {("p", "a", "b"): True, ("q", "b"): False},
+        StaticFacts([("s", "a")]),
+    )
+    # A constraint on constants that is false: n has no instance, m has.
+    @example([(("q", "a"), True)], [("a", "=", "b")], {("q", "a"): True}, StaticFacts([]))
     def test_instances_agree_with_brute_force(self, condition, constraints, signs, statics):
         norms = _norms(condition, constraints)
         state = LiteralSet(signs.items())

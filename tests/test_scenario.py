@@ -149,6 +149,30 @@ class TestRoundTrip:
         with pytest.raises(ScenarioError, match="unknown action 'fly'"):
             scenario_from_dict(data)
 
+    def test_camera_on_unknown_action_rejected(self, fig1):
+        data = scenario_to_dict(fig1)
+        data["observability"]["cameras"] = ["fly(R,a,b)"]
+        with pytest.raises(ScenarioError, match=r"camera fly\(R,a,b\) refers to unknown action 'fly'"):
+            scenario_from_dict(data)
+
+    def test_camera_with_wrong_arity_rejected(self, fig1):
+        # Such a camera would watch nothing, and every move go unobserved.
+        data = scenario_to_dict(fig1)
+        data["observability"]["cameras"] = ["move(R,a,b)", "move(R,a)"]
+        with pytest.raises(ScenarioError, match=r"camera move\(R,a\): .* does not fit the parameters of move"):
+            scenario_from_dict(data)
+
+    def test_dict_is_a_copy(self, fig1):
+        before = scenario_hash(fig1)
+        observability = dict(fig1.observability)
+        cameras = list(fig1.observability["cameras"])
+        data = scenario_to_dict(fig1)
+        data["observability"]["mode"] = "probability"
+        data["observability"]["cameras"].append("move(R,a,b)")
+        assert fig1.observability == observability
+        assert fig1.observability["cameras"] == cameras
+        assert scenario_hash(fig1) == before
+
     def test_actor_outside_the_parameters_rejected(self, fig1):
         data = scenario_to_dict(fig1)
         data["action_descriptions"][0]["actor"] = "Q"
