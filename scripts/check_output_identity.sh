@@ -45,6 +45,11 @@ for side in before after; do
             --seed 3 --variant "$v" --trace "case-$v.trace"
         run "random-$v" random --agents-min 1 --agents-max 4 --obs-prob 0.3 \
             --reps 30 --steps 40 --seed 5 --variant "$v" --trace "random-$v.trace"
+        # Dense observation: singleton rows and cascading commits are common.
+        run "case-dense-$v" case-study --camera-ratio 0.8 --reps 8 --steps 60 \
+            --seed 3 --variant "$v" --trace "case-dense-$v.trace"
+        run "random-dense-$v" random --agents-min 1 --agents-max 5 --obs-prob 0.7 \
+            --reps 30 --steps 40 --seed 5 --variant "$v" --trace "random-dense-$v.trace"
     done
     python - <<'PY'
 import random

@@ -26,7 +26,8 @@ from .harness import (
     run_monitor,
     simulate,
 )
-from .monitor import APPROXIMATE, FULL, TRADITIONAL, VARIANTS
+from .monitor import APPROXIMATE, FULL, TRADITIONAL, VARIANTS, SensorFault
+from .reconstruction import KnowledgeFault
 from .scenario import load_scenario
 from .trace import TraceError, read_trace, replay_trace, write_trace
 
@@ -302,7 +303,7 @@ def cmd_replay(trace, scenario):
         sc = load_scenario(scenario)
         header, rows = read_trace(trace)
         diffs, records = replay_trace(sc, header, rows)
-    except (TraceError, ValueError) as exc:
+    except (TraceError, ValueError, SensorFault, KnowledgeFault) as exc:
         raise click.UsageError(str(exc))
     for rec in records:
         if rec.reconstructed:

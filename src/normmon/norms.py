@@ -208,12 +208,9 @@ def status_of(inst: NormInstance, matched: bool, complete: bool) -> str:
     return FULFILLED if matched == (inst.norm.deontic == OBLIGATION) else VIOLATED
 
 
-def forbidden(prohibitions: Iterable[NormInstance], a: ActionInstance) -> bool:
-    return any(p.matcher.matches(a.schema) for p in prohibitions)
-
-
-def mandatory(obligations: Iterable[NormInstance], a: ActionInstance) -> bool:
-    return any(o.matcher.matches(a.schema) for o in obligations)
+def matched_by(instances: Iterable[NormInstance], a: ActionInstance) -> bool:
+    """Whether some instance matches the action."""
+    return any(inst.matcher.matches(a.schema) for inst in instances)
 
 
 @dataclass(frozen=True)

@@ -1,12 +1,13 @@
 """Reconstruction of unobserved actions.
 
-Two routes over the same per-agent candidate actions: an exhaustive
-reconstruction over the joint actions of unobserved agents (exponential in
-the worst case, product-form on decomposable scenarios) and a per-agent
-fixpoint approximation (polynomial). Both consume a partial initial state
-``i`` and a partial final state ``f``, find the actions the monitor can be
-certain about and the postcondition sets of the possible completions, and
-end in one shared tail that updates ``i`` and ``f`` in place.
+Both routes fold the observed actions into a partial initial state ``i``
+and a partial final state ``f`` and build one per-agent candidate table,
+the fixpoint of :func:`approximate_search`: its commits are the actions
+the monitor can be certain about, and each candidate's postconditions are
+one post set of the possible completions. The exhaustive route enumerates
+the joint completions with :func:`search` instead when the scenario is not
+decomposable and the enumeration stays under the solution cap. Every
+route ends in one shared tail that updates ``i`` and ``f`` in place.
 """
 
 from __future__ import annotations
@@ -29,9 +30,8 @@ from .norms import (
     OBLIGATION,
     PROHIBITION,
     VIOLATED,
-    forbidden,
     instance_matches,
-    mandatory,
+    matched_by,
     relevant_instances,
 )
 from .scenario import Scenario
@@ -218,15 +218,19 @@ def _commit(
     f: LiteralSet,
     acts: Sequence[ActionInstance],
     reconstructed: Sequence[ActionInstance],
-    post_sets: Iterable[Iterable[Literal]],
+    post_sets: Optional[Iterable[Iterable[Literal]]],
 ) -> List[ActionInstance]:
     """The tail every route shares, given R and the post sets of the possible
-    completions: R's preconditions hold in i. While some agent is still
-    unaccounted for, f gains R's postconditions and the extended invariants,
-    sound whenever a completion exists since the executed one is among them.
-    Once the whole concurrent action is known, f is the invariant part of i
-    plus the joint effects. Returns the known actions, observed plus R."""
+    completions, or None if there is none: the states then keep what the
+    fold and the table's commits put there. Otherwise R's preconditions
+    hold in i. While some agent is still unaccounted for, f gains R's
+    postconditions and the extended invariants, sound since the executed
+    completion is among them. Once the whole concurrent action is known, f
+    is the invariant part of i plus the joint effects. Returns the known
+    actions, observed plus R."""
     acts = sorted(set(acts) | set(reconstructed), key=lambda a: a.schema)
+    if post_sets is None:
+        return acts
     pre, post = joint_pre(reconstructed), joint_post(reconstructed)
     _assume_checked(scenario, i, pre, "initial", "reconstructed preconditions")
     if len(acts) < len(scenario.agents):
@@ -251,51 +255,39 @@ def full_reconstruct(
     """Exhaustive reconstruction. Returns the outcome and the updated
     observed-action list (observed plus committed reconstructions).
 
-    On a decomposable scenario every tuple of per-agent candidates is a
-    solution, so the solution set is never materialised: R is the union of
-    the singleton candidate rows and each candidate's postconditions are
-    one post set. Otherwise R is the intersection of the consistent
-    solutions that ``search`` enumerates, with one joint post set each.
-    Both forms give identical results; only the cost differs.
+    Unless the scenario is decomposable, R is the intersection of the
+    consistent completions that ``search`` enumerates, with one joint post
+    set each. On a decomposable one every tuple of per-agent candidates is
+    a completion, so the fixpoint table gives the same R, its commits, and
+    the same post sets, one per candidate, without enumerating. The cap
+    bounds the enumeration only: when ``search`` stops at it, the route
+    takes the table too, since every completion contains each commit.
     """
     targets = sorted(targets)
     acts = sorted(observed, key=lambda a: a.schema)
     _fold_observed(scenario, i, f, acts)
-    if scenario.decomposable:
-        table = {t: candidate_actions(scenario, t, i, f) for t in targets}
-        counts = {t: len(row) for t, row in table.items()}
-        solution_count = math.prod(counts.values())
-        r_set = {row[0] for row in table.values() if len(row) == 1}
-        post_sets = (a.post for row in table.values() for a in row)
-    else:
+    cap_hit = False
+    if not scenario.decomposable:
         solutions, cap_hit = search(scenario, i, f, acts, targets, cap=cap)
-        if cap_hit:
-            # Too many candidate completions; proceed as if nothing was certain.
-            return (
-                ReconstructionOutcome((), (), solution_count=len(solutions), cap_hit=True),
-                acts,
+        if not cap_hit:
+            consistent = [
+                s for s in solutions if check_solution_consistency(scenario, acts, s, i, f)
+            ]
+            r_set = set(consistent[0]) if consistent else set()
+            for s in consistent[1:]:
+                if not r_set:
+                    break
+                r_set &= set(s)
+            reconstructed = tuple(sorted(r_set, key=lambda a: a.schema))
+            post_sets = (joint_post(s) for s in consistent) if consistent else None
+            acts = _commit(scenario, i, f, acts, reconstructed, post_sets)
+            outcome = ReconstructionOutcome(
+                reconstructed, (), solution_count=len(consistent), no_completion=not consistent
             )
-        consistent = [
-            s for s in solutions if check_solution_consistency(scenario, acts, s, i, f)
-        ]
-        counts = {}
-        solution_count = len(consistent)
-        r_set = set(consistent[0]) if consistent else set()
-        for s in consistent[1:]:
-            if not r_set:
-                break
-            r_set &= set(s)
-        post_sets = (joint_post(s) for s in consistent)
-    if not solution_count:  # an empty candidate row, or no consistent solution
-        outcome = ReconstructionOutcome(
-            (), (), solution_count=0, candidate_counts=counts, no_completion=True
-        )
-        return outcome, acts
-    reconstructed = tuple(sorted(r_set, key=lambda a: a.schema))
-    acts = _commit(scenario, i, f, acts, reconstructed, post_sets)
-    outcome = ReconstructionOutcome(
-        reconstructed, (), solution_count=min(solution_count, cap), candidate_counts=counts
-    )
+            return outcome, acts
+    outcome, table, acts = _table_route(scenario, i, f, acts, targets)
+    outcome.cap_hit = cap_hit
+    outcome.solution_count = cap if cap_hit else min(math.prod(map(len, table.values())), cap)
     return outcome, acts
 
 
@@ -311,8 +303,10 @@ def approximate_search(
     and f, the agent leaves the target set, and every remaining row is
     filtered again, possibly cascading further commitments. The states only
     grow, so an action that did not fit before does not fit now: the rows
-    are refiltered, not built again. Mutates i and f. Returns (table,
-    committed agents in commit order).
+    are refiltered, not built again. On a decomposable scenario a commit
+    touches only the committing agent's atoms, so no other row can shrink
+    and the first round of commits is the fixpoint. Mutates i and f.
+    Returns (table, committed agents in commit order).
     """
     remaining = sorted(targets)
     table: Dict[str, List[ActionInstance]] = {t: [] for t in remaining}
@@ -327,10 +321,34 @@ def approximate_search(
             _assume_action(scenario, i, f, rows[t][0], "committed action")
             remaining.remove(t)
             committed.append(t)
+        if scenario.decomposable:
+            break
         rows = {t: _fitting(scenario, rows[t], i, f) for t in remaining}
     for t in remaining:
         table[t] = rows[t]
     return table, committed
+
+
+def _table_route(
+    scenario: Scenario,
+    i: LiteralSet,
+    f: LiteralSet,
+    acts: Sequence[ActionInstance],
+    targets: Iterable[str],
+) -> Tuple[ReconstructionOutcome, Dict[str, List[ActionInstance]], List[ActionInstance]]:
+    """The fixpoint table, then the shared tail: R is the commits, each
+    candidate's postconditions are one post set, and an empty row means no
+    completion. Returns the outcome, the table and the known actions."""
+    table, committed = approximate_search(scenario, i, f, targets)
+    reconstructed = tuple(sorted((table[t][0] for t in committed), key=lambda a: a.schema))
+    no_completion = not all(table.values())
+    post_sets = None if no_completion else (a.post for row in table.values() for a in row)
+    acts = _commit(scenario, i, f, acts, reconstructed, post_sets)
+    counts = {t: len(row) for t, row in table.items()}
+    outcome = ReconstructionOutcome(
+        reconstructed, (), candidate_counts=counts, no_completion=no_completion
+    )
+    return outcome, table, acts
 
 
 def approximate_reconstruct(
@@ -342,53 +360,33 @@ def approximate_reconstruct(
 ) -> Tuple[ReconstructionOutcome, List[ActionInstance]]:
     """Polynomial reconstruction plus the discovered-verdict set.
 
-    Committed actions form R and each candidate's postconditions are one
-    post set, as in the product form of :func:`full_reconstruct`. Agents
-    left with several candidates, all of which are forbidden (resp.
-    mandatory), yield one representative action in the discovered set: the
-    monitor knows some instance was violated (fulfilled) without knowing
-    which action was executed. The norm instances relevant in the updated
-    i go into the outcome for the norm check.
+    R and the post sets come from the fixpoint table, as on the table path
+    of :func:`full_reconstruct`. Agents left with several candidates, all
+    of which are forbidden (resp. mandatory), yield one representative
+    action in the discovered set: the monitor knows some instance was
+    violated (fulfilled) without knowing which action was executed. The
+    norm instances relevant in the updated i go into the outcome for the
+    norm check.
     """
-    targets = sorted(targets)
     acts = sorted(observed, key=lambda a: a.schema)
     _fold_observed(scenario, i, f, acts)
-    table, committed = approximate_search(scenario, i, f, targets)
-    counts = {t: len(row) for t, row in table.items()}
-    reconstructed = tuple(
-        sorted((table[t][0] for t in committed), key=lambda a: a.schema)
-    )
-    no_completion = not all(table.values())
-    if no_completion:
-        # The commits already extended i and f; the states get no more.
-        acts = sorted(set(acts) | set(reconstructed), key=lambda a: a.schema)
-    else:
-        post_sets = (a.post for row in table.values() for a in row)
-        acts = _commit(scenario, i, f, acts, reconstructed, post_sets)
-
+    outcome, table, acts = _table_route(scenario, i, f, acts, targets)
     instances = relevant_instances(scenario.norms, i, scenario.statics)
     prohibitions = [n for n in instances if n.norm.deontic == PROHIBITION]
     obligations = [n for n in instances if n.norm.deontic == OBLIGATION]
     discovered: List[ActionInstance] = []
     statuses: List[str] = []
-    for t in targets:
-        row = table[t]
+    for row in table.values():
         if len(row) <= 1:
             continue
-        if all(forbidden(prohibitions, a) for a in row):
+        if all(matched_by(prohibitions, a) for a in row):
             discovered.append(_violation_representative(row, prohibitions))
             statuses.append(VIOLATED)
-        elif all(mandatory(obligations, a) for a in row):
+        elif all(matched_by(obligations, a) for a in row):
             discovered.append(_fulfilment_representative(row, obligations))
             statuses.append(FULFILLED)
-    outcome = ReconstructionOutcome(
-        reconstructed,
-        tuple(discovered),
-        discovered_statuses=tuple(statuses),
-        candidate_counts=counts,
-        no_completion=no_completion,
-        instances=tuple(instances),
-    )
+    outcome.discovered, outcome.discovered_statuses = tuple(discovered), tuple(statuses)
+    outcome.instances = tuple(instances)
     return outcome, acts
 
 

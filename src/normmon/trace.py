@@ -99,10 +99,11 @@ _VERDICT_TEXTS = ("norm", "action", "status", "mode")
 
 
 def read_trace(path: str) -> Tuple[Dict, List[Dict]]:
-    """The header and the tick rows of a trace file. Each row must be an
-    object with the next tick, its observed actions as a list of texts and
-    its verdicts as a list of objects with the fields replay compares;
-    anything else raises :class:`TraceError` naming the line."""
+    """The header and the tick rows of a trace file. The header gives the
+    scenario hash and the variant as texts and the seed as an integer.
+    Each row must be an object with the next tick, its observed actions as
+    a list of texts and its verdicts as a list of objects with the fields
+    replay compares; anything else raises :class:`TraceError` naming the line."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = [line for line in fh.read().splitlines() if line.strip()]
     if not lines:
@@ -116,9 +117,11 @@ def read_trace(path: str) -> Tuple[Dict, List[Dict]]:
         raise TraceError(f"{path}: line 1: the header is not an object")
     if header.get("format") != TRACE_FORMAT:
         raise TraceError(f"{path}: unknown trace format {header.get('format')!r}")
-    for field in ("scenario", "seed", "variant"):
+    for field, kind in (("scenario", str), ("seed", int), ("variant", str)):
         if field not in header:
             raise TraceError(f"{path}: header lacks {field!r}")
+        if type(header[field]) is not kind:
+            raise TraceError(f"{path}: header {field!r} is not a {kind.__name__}")
     for expected, row in enumerate(rows):
         where = f"{path}: line {expected + 2}"
         if not isinstance(row, dict):

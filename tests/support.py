@@ -27,9 +27,8 @@ from normmon.norms import (
     OBLIGATION,
     PROHIBITION,
     VIOLATED,
-    forbidden,
     instance_matches,
-    mandatory,
+    matched_by,
     relevant_instances_closed,
 )
 from normmon.reconstruction import check_solution_consistency
@@ -141,11 +140,7 @@ def _check_tick_records(scenario, log, records, events, label, failures):
             if act is None:
                 failures.append(f"{label} tick {rec.tick}: culprit {v.culprit} executed nothing")
                 continue
-            if v.status == VIOLATED:
-                guilty = forbidden(prohibitions, act)
-            else:
-                guilty = mandatory(obligations, act)
-            if not guilty:
+            if not matched_by(prohibitions if v.status == VIOLATED else obligations, act):
                 failures.append(
                     f"{label} tick {rec.tick}: discovered {v.status} culprit {v.culprit} "
                     f"executed {act}, which matches no relevant instance"

@@ -181,6 +181,41 @@ class TestReplay:
         assert result.exit_code == 2
         assert "'decomposable' was unexpected" in result.output
 
+    @pytest.mark.parametrize(
+        "observed, message",
+        [
+            (["move(r1,a,b)", "move(r9,a,b)"], "unknown agents ['r9']"),
+            (["move(r1,a,b)", "move(r1,a,c)"], "share an actor"),
+        ],
+    )
+    def test_observations_the_monitor_refuses_are_a_usage_error(
+        self, runner, tmp_path, observed, message
+    ):
+        lines = open(RUNNING_EXAMPLE_TRACE).read().splitlines()
+        row = json.loads(lines[1])
+        row["observed"] = observed
+        lines[1] = json.dumps(row, sort_keys=True)
+        path = tmp_path / "faulty.trace"
+        path.write_text("\n".join(lines) + "\n")
+        result = runner.invoke(main, ["replay", str(path), FIG1])
+        assert result.exit_code == 2, result.output
+        assert message in result.output
+
+    @pytest.mark.parametrize(
+        "field, value, kind",
+        [("scenario", 5, "str"), ("seed", "0", "int"), ("seed", True, "int"), ("variant", [], "str")],
+    )
+    def test_header_field_of_the_wrong_type_is_refused(
+        self, runner, tmp_path, field, value, kind
+    ):
+        lines = open(RUNNING_EXAMPLE_TRACE).read().splitlines()
+        header = {**json.loads(lines[0]), field: value}
+        path = tmp_path / "retyped.trace"
+        path.write_text("\n".join([json.dumps(header, sort_keys=True)] + lines[1:]) + "\n")
+        result = runner.invoke(main, ["replay", str(path), FIG1])
+        assert result.exit_code == 2, result.output
+        assert f"header {field!r} is not a {kind}" in result.output
+
     def test_hash_mismatch_is_refused(self, runner, tmp_path, fig1):
         lines = open(RUNNING_EXAMPLE_TRACE).read().splitlines()
         header = json.loads(lines[0])

@@ -11,7 +11,7 @@ from normmon.harness import (
     generate_random,
     simulate,
 )
-from normmon import logic, reconstruction
+from normmon import logic, monitor, reconstruction
 from normmon.actions import joint_post
 from normmon.logic import LiteralSet
 from normmon.monitor import VARIANTS, NormMonitor
@@ -280,6 +280,30 @@ class TestSearch:
         assert cap_hit and len(solutions) == 1
 
 
+def _office_runs(count, steps):
+    """Generated office scenarios of default sizes, with ground-truth runs."""
+    runs = []
+    for seed in range(count):
+        cfg = CaseStudyConfig(steps=steps)
+        rng = random.Random(seed)
+        scenario = generate_case_study(cfg, rng)
+        runs.append((scenario, simulate(scenario, cfg.steps, rng)))
+    return runs
+
+
+def _both_forms(monkeypatch, scenario, i, f, observed, targets, cap):
+    """The derived and the forced generic form of the full route, each on
+    copies of (i, f): (outcome, i, f) per form."""
+    forms = []
+    for decomposable in (scenario.decomposable, False):
+        i2, f2 = i.copy(), f.copy()
+        with monkeypatch.context() as m:
+            m.setattr(scenario, "_decomposable", decomposable)
+            outcome, _ = full_reconstruct(scenario, i2, f2, observed, targets, cap=cap)
+        forms.append((outcome, i2.snapshot(), f2.snapshot()))
+    return forms
+
+
 class TestFullReconstruction:
     def test_worked_example(self, fig1, worked_example):
         i, f, observed, targets = worked_example
@@ -292,10 +316,25 @@ class TestFullReconstruction:
         # ...and the outcome carries no discovered set (exhaustive mode).
         assert outcome.discovered == ()
 
+    def test_the_forms_agree_on_the_worked_example_under_the_cap(
+        self, fig1, worked_example, monkeypatch
+    ):
+        i, f, observed, targets = worked_example
+        (derived, i1, f1), (generic, i2, f2) = _both_forms(
+            monkeypatch, fig1, i, f, observed, targets, cap=1
+        )
+        assert [str(a) for a in generic.reconstructed] == ["move(r3,e,a)"]
+        assert generic.reconstructed == derived.reconstructed
+        assert (i2, f2) == (i1, f1)
+        assert f2 == frozenset(EXPECTED_F)
+        assert generic.cap_hit and not derived.cap_hit
+        assert generic.solution_count == derived.solution_count == 1
+
     def test_generic_route_agrees_with_the_decomposable_shortcut(self, monkeypatch):
-        # Small office scenarios keep the generic search below its cap;
-        # single-agent random domains without concurrency conditions are
-        # the random ones that derive as decomposable.
+        # Whole runs at the default cap: small office scenarios keep the
+        # generic enumeration short; single-agent random domains without
+        # concurrency conditions are the random ones that derive as
+        # decomposable.
         runs = []
         for idx in range(8):
             cfg = CaseStudyConfig(
@@ -323,6 +362,26 @@ class TestFullReconstruction:
             reconstructing += sum(1 for r in shortcut if r.reconstruction_ran)
         assert reconstructing > 100
 
+        # Every call of default-sized office runs, with a cap of two
+        # completions: the generic form stops at it and takes the table.
+        capped = []
+
+        def compared(scenario, i, f, observed, targets):
+            forms = _both_forms(monkeypatch, scenario, i, f, observed, targets, cap=2)
+            (derived, *derived_states), (generic, *generic_states) = forms
+            assert generic_states == derived_states
+            assert generic.reconstructed == derived.reconstructed
+            assert generic.no_completion == derived.no_completion
+            assert generic.cap_hit == (derived.solution_count == 2)
+            assert not derived.cap_hit
+            capped.append(generic.cap_hit)
+            return full_reconstruct(scenario, i, f, observed, targets)
+
+        monkeypatch.setattr(monitor, "full_reconstruct", compared)
+        for scenario, log in _office_runs(8, 40):
+            NormMonitor(scenario, variant="full").run(log.observed)
+        assert sum(capped) > 100 and len(capped) > sum(capped)
+
 
 class TestApproximateReconstruction:
     def test_worked_example(self, fig1, worked_example):
@@ -334,10 +393,54 @@ class TestApproximateReconstruction:
         assert f.snapshot() == frozenset(EXPECTED_F)
 
     def test_identified_reconstructions_match_the_exhaustive_ones(
-        self, fig1, worked_example
+        self, fig1, worked_example, monkeypatch
     ):
         i1, f1, observed, targets = worked_example
         i2, f2 = i1.copy(), f1.copy()
         full_out, _ = full_reconstruct(fig1, i1, f1, observed, targets)
         approx_out, _ = approximate_reconstruct(fig1, i2, f2, observed, targets)
         assert set(approx_out.reconstructed) <= set(full_out.reconstructed)
+
+        # Every reconstructing tick of generated runs: random domains of
+        # 2-5 agents with concurrency conditions, and office runs. The
+        # full route knows at least what the approximate one knows.
+        generic = []
+
+        def compared(scenario, i, f, observed, targets):
+            i2, f2 = i.copy(), f.copy()
+            approx, _ = approximate_reconstruct(scenario, i2, f2, observed, targets)
+            full, acts = full_reconstruct(scenario, i, f, observed, targets)
+            assert set(approx.reconstructed) <= set(full.reconstructed)
+            assert i2.snapshot() <= i.snapshot()
+            assert f2.snapshot() <= f.snapshot()
+            generic.append(not scenario.decomposable)
+            return full, acts
+
+        monkeypatch.setattr(monitor, "full_reconstruct", compared)
+        runs = _office_runs(6, 40)
+        for seed in range(20):
+            cfg = RandomConfig(agents=2, agents_max=5, observation_probability=0.5, steps=40)
+            rng = random.Random(200 + seed)
+            scenario = generate_random(cfg, rng)
+            runs.append((scenario, simulate(scenario, cfg.steps, rng)))
+        for scenario, log in runs:
+            NormMonitor(scenario, variant="full").run(log.observed)
+        assert sum(generic) > 200 and len(generic) - sum(generic) > 150
+
+    def test_no_completion_keeps_the_commits_in_both_routes(self, fig1, worked_example, inst):
+        # r2 stays in d: neither of its moves fits, while r3's only move
+        # still commits. The states gain that commit and nothing more.
+        i, f, observed, targets = worked_example
+        f.add((("in", "r2", "d"), True))
+        commit = inst("move(r3,e,a)")
+        expected_i = i.snapshot() | commit.pre
+        expected_f = f.snapshot() | commit.post
+        for route in (full_reconstruct, approximate_reconstruct):
+            i2, f2 = i.copy(), f.copy()
+            outcome, acts = route(fig1, i2, f2, observed, targets)
+            assert outcome.no_completion and not outcome.cap_hit
+            assert outcome.reconstructed == (commit,)
+            assert outcome.candidate_counts == {"r2": 0, "r3": 1}
+            assert acts == sorted([*observed, commit], key=lambda a: a.schema)
+            assert (i2.snapshot(), f2.snapshot()) == (expected_i, expected_f)
+        assert full_reconstruct(fig1, i.copy(), f.copy(), observed, targets)[0].solution_count == 0
