@@ -18,8 +18,12 @@
 # not move. `oracle.out` lists, for the same scenarios, every event of the
 # omniscient judge (`harness.oracle_events`): tick, norm, controlled action,
 # residual constraints, status and offender, which the score CSVs show only
-# as counts. The script prints one line per compared file and exits non-zero
-# if any pair differs.
+# as counts. `rows.out` lists, for the same scenarios and for an office
+# variant with no two robots in one office (whose commits refilter the other
+# robots' rows), the candidate row of each agent that the full and the
+# approximate monitor build on each reconstructing tick, and the approximate
+# fixpoint's table and commits. The script prints one line per compared file
+# and exits non-zero if any pair differs.
 set -eu
 before=$1 after=$2 out=$3
 export PYTHONHASHSEED=0
@@ -54,12 +58,16 @@ for side in before after; do
     python - <<'PY'
 import random
 
+from normmon import reconstruction
 from normmon.harness import (
-    CaseStudyConfig, RandomConfig, generate_case_study, generate_random, oracle_events, simulate,
+    CaseStudyConfig, RandomConfig, applicable_actions, apply_concurrent, generate_case_study,
+    generate_random, observe, oracle_events, simulate,
 )
 from normmon.logic import atom_text
-from normmon.scenario import constraint_text
+from normmon.monitor import NormMonitor
+from normmon.scenario import constraint_text, scenario_from_dict, scenario_to_dict
 
+runs = []  # (kind, seed, scenario, observed actions per tick), for rows.out
 with open("simulate.out", "w") as sim, open("oracle.out", "w") as oracle:
     for kind, generate, cfg in (
         ("office", generate_case_study, CaseStudyConfig(camera_ratio=0.4)),
@@ -69,6 +77,7 @@ with open("simulate.out", "w") as sim, open("oracle.out", "w") as oracle:
             rng = random.Random(seed)
             scenario = generate(cfg, rng)
             log = simulate(scenario, 40, rng)
+            runs.append((kind, seed, scenario, log.observed))
             print(kind, seed, *sorted(map(atom_text, log.states[0])), file=sim)
             for t, (executed, observed) in enumerate(zip(log.executed, log.observed)):
                 print(t, "executed", *executed, file=sim)
@@ -78,6 +87,59 @@ with open("simulate.out", "w") as sim, open("oracle.out", "w") as oracle:
             for e in oracle_events(scenario, log):
                 residuals = ",".join(map(constraint_text, e.constraints)) or "-"
                 print(e.tick, e.norm_id, atom_text(e.action), residuals, e.status, e.offender, file=oracle)
+
+
+def crowded(seed):
+    """An office scenario with no two robots in one office, and its run:
+    each robot, in turn, moves to an office no robot holds or enters."""
+    rng = random.Random(seed)
+    cfg = CaseStudyConfig(offices_min=6, offices_max=8, robots_min=4, robots_max=5, camera_ratio=0.3)
+    data = scenario_to_dict(generate_case_study(cfg, rng))
+    data["rules"].append({"body": ["in(R1,O)", "in(R2,O)"], "constraints": ["R1!=R2"]})
+    data["initial_state"] = [f"in({r},o{k})" for k, r in enumerate(data["agents"], 1)]
+    scenario = scenario_from_dict(data)
+    state, observed = set(scenario.initial_state), []
+    for _ in range(40):
+        joint, taken = [], {atom[2] for atom in state}
+        for g in scenario.agents:
+            moves = [a for a in applicable_actions(scenario, g, state) if a.args[2] not in taken]
+            joint.append(rng.choice(moves) if moves else scenario.nop_instance(g))
+            taken.add(joint[-1].args[-1])  # a move's target; a NOP adds its robot
+        state = apply_concurrent(joint, state, scenario.statics, scenario.rules, scenario.agents)
+        observed.append(observe(scenario, joint, rng))
+    return scenario, observed
+
+
+runs += [("crowded", seed, *crowded(seed)) for seed in (3, 6, 7)]
+
+rows, fixpoint = reconstruction.candidate_actions, reconstruction.approximate_search
+with open("rows.out", "w") as out:
+    tick = [None]
+
+    def listed_row(scenario, agent, i, f):
+        row = rows(scenario, agent, i, f)
+        print(tick[0], "row", agent, *row, file=out)
+        return row
+
+    def listed_fixpoint(scenario, i, f, targets):
+        table, committed = fixpoint(scenario, i, f, targets)
+        for agent, row in table.items():
+            print(tick[0], "table", agent, *row, file=out)
+        print(tick[0], "commits", *committed, file=out)
+        return table, committed
+
+    reconstruction.candidate_actions = listed_row
+    reconstruction.approximate_search = listed_fixpoint
+    for kind, seed, scenario, observed in runs:
+        for variant in ("full", "approximate"):
+            print(kind, seed, variant, file=out)
+            monitor = NormMonitor(scenario, variant=variant)
+            # Each call closes, and reconstructs, the tick before.
+            for t, acts in enumerate(observed):
+                tick[0] = t - 1
+                monitor.advance(acts)
+            tick[0] = len(observed) - 1
+            monitor.finish()
 PY
     # A replay mismatch exits 1; its report is part of the compared output.
     python -m normmon.cli replay "$fixtures/running-example.trace" "$fixtures/fig1.json" \

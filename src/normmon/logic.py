@@ -437,7 +437,7 @@ class CompiledRules(tuple):
         self._probes: Dict[Tuple[str, bool], List[Probe]] = {}
         # rules of three or more body literals: (sign, pattern of a body
         # literal, the rest of the body joined from its bindings)
-        self._joins: List[Tuple[bool, Matcher, _Body]] = []
+        self.joins: List[Tuple[bool, Matcher, _Body]] = []
         # ground literal -> what _needs_of works out, filled on first check
         self._needs: Dict[Literal, Tuple] = {}
         for rule in self:
@@ -446,7 +446,7 @@ class CompiledRules(tuple):
                 for i, (pattern, sign) in enumerate(literals):
                     fits = Matcher(pattern)
                     rest = _Body(literals[:i] + literals[i + 1 :], rule.constraints, tuple(fits.first))
-                    self._joins.append((sign, fits, rest))
+                    self.joins.append((sign, fits, rest))
                 continue
             bound = {t for atom, _ in literals for t in atom[1:] if is_variable(t)}
             sides = {t for c in rule.constraints for t in (c[0], c[2]) if is_variable(t)}
@@ -471,31 +471,31 @@ class CompiledRules(tuple):
         every clash is between two literals (see :meth:`clashes`). Without
         rules a clash is a complement only, which the per-literal check
         finds at once."""
-        return bool(self) and not self._joins
+        return bool(self) and not self.joins
 
-    def clashes(self, literal: Literal, state: LiteralSet | _Union) -> Iterator[Literal]:
+    def clashes(self, literal: Literal, state: LiteralSet | _Union) -> List[Literal]:
         """The literals of ``state`` that clash with a ground literal: its
         complement, and each partner that completes a rule with it; a literal
         that fires a rule on its own also clashes with itself. With pairwise
         rules a literal is consistent with a consistent set exactly when it
         clashes with none of its literals."""
         fires, ground, open_ = self._needs_for(literal)
-        if fires:
-            yield literal
         atom, sign = literal
         signs = state.signs
+        found = [literal] if fires else []
         if signs.get(atom) == (not sign):
-            yield (atom, not sign)
+            found.append((atom, not sign))
         for partner in ground:
             if signs.get(partner[0]) == partner[1]:
-                yield partner
+                found.append(partner)
         for matcher, partner_sign, verdicts in open_:
             for other in state.with_pred(matcher.name, partner_sign):
                 hit = verdicts.get(other)
                 if hit is None:
                     hit = verdicts[other] = matcher.matches(other)
                 if hit:
-                    yield (other, partner_sign)
+                    found.append((other, partner_sign))
+        return found
 
     def _needs_for(self, literal: Literal):
         needs = self._needs.get(literal)
@@ -534,9 +534,9 @@ class CompiledRules(tuple):
         for literal in added.items():
             if any(self.clashes(literal, union)):
                 return False
-        if self._joins:
+        if self.joins:
             world = OpenWorld(union, self.statics)
-            for sign, fits, rest in self._joins:
+            for sign, fits, rest in self.joins:
                 # Seed the rest of the body with each added literal in each
                 # body position; bodies inside the consistent base cannot fire.
                 for atom, asign in added.items():
@@ -640,7 +640,10 @@ def survivors(
         for post in post_sets:
             post = set(post)
             for literal in post - walked:
-                hit = set(rules.clashes(literal, state))
+                hit = rules.clashes(literal, state)
+                if not hit:
+                    continue
+                hit = set(hit)
                 killed |= hit - post
                 if not hit.isdisjoint(post):
                     spared[literal] = hit & post

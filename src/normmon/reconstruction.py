@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .actions import (
     ActionInstance,
@@ -34,7 +34,7 @@ from .norms import (
     matched_by,
     relevant_instances,
 )
-from .scenario import Scenario
+from .scenario import ActionBits, Scenario
 
 DEFAULT_SOLUTION_CAP = 1_000_000
 
@@ -74,26 +74,21 @@ def candidate_actions(
     scenario: Scenario, agent: str, i: LiteralSet, f: LiteralSet
 ) -> List[ActionInstance]:
     """All ground non-NOP actions of one agent consistent with (i, f)."""
-    return _fitting(scenario, scenario.coherent_actions(agent), i, f)
+    bits = scenario.action_bits(agent)
+    return bits.members(_row(scenario, bits, i, f, bits.full))
 
 
-def _fitting(
-    scenario: Scenario, actions: Sequence[ActionInstance], i: LiteralSet, f: LiteralSet
-) -> List[ActionInstance]:
-    """The coherent actions (``Scenario.coherent_actions``) that fit (i, f),
-    in their order. With pairwise rules such an action fits exactly when no
-    literal of its pre clashes with i and none of its post with f, so each
-    distinct literal is decided once."""
-    rules = scenario.rules
-    if not rules.pairwise:
-        return [a for a in actions if action_fits(a, i, f, scenario)]
-
-    def misfits(literals: Iterable[Literal], state: LiteralSet) -> Set[Literal]:
-        return {l for l in literals if any(rules.clashes(l, state))}
-
-    bad_pre = misfits(frozenset().union(*[a.pre for a in actions]), i)
-    bad_post = misfits(frozenset().union(*[a.post for a in actions]), f)
-    return [a for a in actions if bad_pre.isdisjoint(a.pre) and bad_post.isdisjoint(a.post)]
+def _row(scenario: Scenario, bits: ActionBits, i: LiteralSet, f: LiteralSet, row: int) -> int:
+    """The actions of a row, as bits of the agent's coherent actions
+    (``Scenario.action_bits``), that fit (i, f): those that no literal of i
+    or f rules out, checked one by one with ``action_fits`` only where a
+    rule has three or more body literals."""
+    row &= ~bits.ruled_out(i, f)
+    if scenario.rules.joins:
+        for bit, a in zip(bits.bits, bits.actions):
+            if row & bit and not action_fits(a, i, f, scenario):
+                row ^= bit
+    return row
 
 
 def check_solution_consistency(
@@ -302,30 +297,29 @@ def approximate_search(
     A singleton candidate row commits immediately: its pre/post extend i
     and f, the agent leaves the target set, and every remaining row is
     filtered again, possibly cascading further commitments. The states only
-    grow, so an action that did not fit before does not fit now: the rows
-    are refiltered, not built again. On a decomposable scenario a commit
+    grow, so an action that did not fit before does not fit now: a row is
+    refiltered as bits (``Scenario.action_bits``), losing what the grown
+    states rule out, not built again. On a decomposable scenario a commit
     touches only the committing agent's atoms, so no other row can shrink
     and the first round of commits is the fixpoint. Mutates i and f.
     Returns (table, committed agents in commit order).
     """
     remaining = sorted(targets)
-    table: Dict[str, List[ActionInstance]] = {t: [] for t in remaining}
-    rows = {t: candidate_actions(scenario, t, i, f) for t in remaining}
+    table = {t: candidate_actions(scenario, t, i, f) for t in remaining}
     committed: List[str] = []
     while True:
-        singles = [t for t in remaining if len(rows[t]) == 1]
+        singles = [t for t in remaining if len(table[t]) == 1]
         if not singles:
             break
         for t in singles:
-            table[t] = rows[t]
-            _assume_action(scenario, i, f, rows[t][0], "committed action")
+            _assume_action(scenario, i, f, table[t][0], "committed action")
             remaining.remove(t)
             committed.append(t)
         if scenario.decomposable:
             break
-        rows = {t: _fitting(scenario, rows[t], i, f) for t in remaining}
-    for t in remaining:
-        table[t] = rows[t]
+        for t in remaining:
+            bits = scenario.action_bits(t)
+            table[t] = bits.members(_row(scenario, bits, i, f, bits.mask(table[t])))
     return table, committed
 
 

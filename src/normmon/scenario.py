@@ -15,7 +15,7 @@ import re
 from dataclasses import dataclass, field
 from functools import cache
 from itertools import combinations, product
-from typing import Callable, Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from .actions import ActionDescription, ActionInstance, SchemaRef, ground_instance
 from .logic import (
@@ -258,6 +258,73 @@ def _schema_error(data: Dict) -> Optional[str]:
     return None if error is None else error.message
 
 
+class ActionBits:
+    """One agent's coherent actions (``Scenario.coherent_actions``) as the
+    bits of an int, in order, and what each state literal rules out among
+    them.
+
+    Such an action is consistent on its own in its pre and in its post, so
+    under rules of at most two body literals it fits partial states (i, f)
+    exactly when no literal of its pre clashes with a literal of i and none
+    of its post with one of f: a clash involves two literals only. So a
+    literal m of i rules out a fixed set of actions, those whose pre holds a
+    literal l with ``clashes(l, {m})`` non-empty, and likewise a literal of
+    f on the post side. That set, a mask, is worked out the first time m is
+    seen on its side and kept; a row is then one OR per state literal. A
+    rule of three or more body literals can rule out more, so there the
+    actions the masks leave still need a check each."""
+
+    __slots__ = ("actions", "bits", "full", "_bit", "_rules", "_pre", "_post", "_pre_kills", "_post_kills")
+
+    def __init__(self, actions: Tuple[ActionInstance, ...], rules: CompiledRules):
+        self.actions = actions
+        self.bits = tuple(1 << k for k in range(len(actions)))
+        self.full = (1 << len(actions)) - 1
+        self._bit = dict(zip(actions, self.bits))
+        self._rules = rules
+        # literal -> the mask of the actions whose pre (post) holds it
+        self._pre: Dict[Literal, int] = {}
+        self._post: Dict[Literal, int] = {}
+        for bit, a in zip(self.bits, actions):
+            for literal in a.pre:
+                self._pre[literal] = self._pre.get(literal, 0) | bit
+            for literal in a.post:
+                self._post[literal] = self._post.get(literal, 0) | bit
+        # state literal -> the mask of the actions it rules out, filled on
+        # first sight
+        self._pre_kills: Dict[Literal, int] = {}
+        self._post_kills: Dict[Literal, int] = {}
+
+    def ruled_out(self, i: LiteralSet, f: LiteralSet) -> int:
+        """The actions with a pre literal that clashes with i or a post
+        literal that clashes with f."""
+        return self._kills(i, self._pre, self._pre_kills) | self._kills(f, self._post, self._post_kills)
+
+    def _kills(self, state: LiteralSet, masks: Dict[Literal, int], table: Dict[Literal, int]) -> int:
+        """The OR of what the state's literals rule out on one side: ``masks``
+        maps the side's literals to their actions, ``table`` keeps each state
+        literal's mask."""
+        bad = 0
+        for m in state.signs.items():
+            kill = table.get(m)
+            if kill is None:
+                kill, alone = 0, LiteralSet([m])
+                for literal, mask in masks.items():
+                    if self._rules.clashes(literal, alone):
+                        kill |= mask
+                table[m] = kill
+            bad |= kill
+        return bad
+
+    def members(self, mask: int) -> List[ActionInstance]:
+        """The actions of the mask's bits, in order."""
+        return [a for bit, a in zip(self.bits, self.actions) if mask & bit]
+
+    def mask(self, actions: Iterable[ActionInstance]) -> int:
+        """The bits of some of the actions."""
+        return sum(map(self._bit.__getitem__, actions))
+
+
 @dataclass
 class Scenario:
     name: str
@@ -282,6 +349,7 @@ class Scenario:
     _ground: Dict[str, Tuple[ActionInstance, ...]] = field(default_factory=dict, init=False, compare=False, repr=False)
     _coherent: Dict[str, Tuple[ActionInstance, ...]] = field(default_factory=dict, init=False, compare=False, repr=False)
     _pres: Dict[str, Tuple] = field(default_factory=dict, init=False, compare=False, repr=False)
+    _bits: Dict[str, ActionBits] = field(default_factory=dict, init=False, compare=False, repr=False)
     _watched: Dict[Atom, bool] = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
@@ -409,6 +477,14 @@ class Scenario:
                 and is_consistent(a.post, self.statics, self.rules)
             )
         return cached
+
+    def action_bits(self, agent: str) -> ActionBits:
+        """The agent's coherent actions as bits, with the masks of what each
+        state literal rules out among them; built on first use and kept."""
+        found = self._bits.get(agent)
+        if found is None:
+            found = self._bits[agent] = ActionBits(self.coherent_actions(agent), self.rules)
+        return found
 
     @property
     def decomposable(self) -> bool:

@@ -3,6 +3,8 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from normmon.harness import (
     CaseStudyConfig,
@@ -16,6 +18,7 @@ from normmon.actions import joint_post
 from normmon.logic import LiteralSet
 from normmon.monitor import VARIANTS, NormMonitor
 from normmon.reconstruction import (
+    KnowledgeFault,
     _assume_action,
     _extended_invariants,
     action_fits,
@@ -113,11 +116,20 @@ def _with_jump(scenario):
     return scenario_from_dict(data)
 
 
+def _with_static_in_rule(scenario):
+    """The scenario with its one-office rule read through the static
+    ``robot(R)``: the same rule, of three body literals."""
+    data = scenario_to_dict(scenario)
+    data["rules"] = [{"body": ["robot(R)", "in(R,O1)", "in(R,O2)"], "constraints": ["O1!=O2"]}]
+    return scenario_from_dict(data)
+
+
 def _small_runs():
     """Small office scenarios, each also with a self-inconsistent action,
-    and small random ones (no rules), with ground-truth runs."""
+    one of them with its rule of three body literals, and small random ones
+    (no rules), with ground-truth runs."""
     runs = []
-    for idx in range(6):
+    for idx in range(7):
         cfg = CaseStudyConfig(
             offices_max=5, robots_max=3, camera_ratio=(idx % 3) / 3, steps=20
         )
@@ -125,6 +137,8 @@ def _small_runs():
         scenario = generate_case_study(cfg, rng)
         if idx % 2:
             scenario = _with_jump(scenario)
+        if idx == 6:
+            scenario = _with_jump(_with_static_in_rule(scenario))
         runs.append((scenario, simulate(scenario, cfg.steps, rng)))
     for idx in range(4):
         cfg = RandomConfig(agents=1, agents_max=4, actions=6, observation_probability=0.3, steps=20)
@@ -256,6 +270,85 @@ class TestPairwiseCore:
             for l in i.literals()
             if all(logic.consistent_with(u, [l], fig1.statics, fig1.rules) for u in unions)
         ]
+
+
+@pytest.fixture(scope="module")
+def row_scenarios(fig1):
+    """Four scenarios whose rows the kernel builds differently, each as its
+    dict and as a scenario built once, whose kill masks fill over the
+    examples: an office one (a pairwise rule within one agent), a random
+    one (no rules), fig1 with no two robots in one office (a pairwise rule
+    joining two agents, so commits refilter the other rows) and fig1 with
+    no three (a rule of three body literals, checked action by action)."""
+    data = scenario_to_dict(fig1)
+    crowded = {"body": ["in(R1,O)", "in(R2,O)"], "constraints": ["R1!=R2"]}
+    trio = {
+        "body": ["in(R1,O)", "in(R2,O)", "in(R3,O)"],
+        "constraints": ["R1!=R2", "R1!=R3", "R2!=R3"],
+    }
+    office = generate_case_study(CaseStudyConfig(offices_max=5, robots_max=3), random.Random(3))
+    rand = generate_random(RandomConfig(agents=3, actions=6), random.Random(4))
+    dicts = {
+        "office": scenario_to_dict(office),
+        "random": scenario_to_dict(rand),
+        "crowded": {**data, "rules": data["rules"] + [crowded]},
+        "three-literal": {**data, "rules": data["rules"] + [trio]},
+    }
+    return {name: (d, scenario_from_dict(d)) for name, d in dicts.items()}
+
+
+def _partial_state(scenario, atoms, draws):
+    """The drawn literals over ``atoms`` that keep the state consistent,
+    added one at a time."""
+    state = LiteralSet()
+    for k, sign in draws:
+        literal = (atoms[k % len(atoms)], sign)
+        if logic.consistent_with(state, [literal], scenario.statics, scenario.rules):
+            state.add(literal)
+    return state
+
+
+draws = st.lists(st.tuples(st.integers(0, 200), st.booleans()), max_size=14)
+
+
+class TestRowKernel:
+    """Candidate rows built from the kill masks against the per-action
+    check, on random partial states."""
+
+    @pytest.mark.parametrize("name", ["office", "random", "crowded", "three-literal"])
+    @given(i_draws=draws, f_draws=draws)
+    @settings(max_examples=120, deadline=None)
+    def test_rows_equal_per_action_checks(self, row_scenarios, name, i_draws, f_draws):
+        data, warm = row_scenarios[name]
+        cold = scenario_from_dict(data)
+        # Atoms of an agent the scenario lacks join the dynamic ones: no
+        # action mentions them, yet under the crowded rules they rule
+        # actions out.
+        atoms = sorted(cold.dynamic_atoms)
+        atoms += [(a[0], "z9", *a[2:]) if len(a) > 1 else (a[0] + "z",) for a in atoms[:3]]
+        i = _partial_state(cold, atoms, i_draws)
+        f = _partial_state(cold, atoms, f_draws)
+        for agent in cold.agents:
+            expected = [a for a in cold.coherent_actions(agent) if action_fits(a, i, f, cold)]
+            assert candidate_actions(cold, agent, i, f) == expected
+            assert candidate_actions(warm, agent, i, f) == expected
+        # Two singleton rows may not fit together in states no run reaches.
+        i2, f2 = i.copy(), f.copy()
+        try:
+            expected = _recomputing_fixpoint(cold, i2, f2, cold.agents)
+        except KnowledgeFault:
+            with pytest.raises(KnowledgeFault):
+                approximate_search(warm, i, f, cold.agents)
+            return
+        assert approximate_search(warm, i, f, cold.agents) == expected
+        assert (i.snapshot(), f.snapshot()) == (i2.snapshot(), f2.snapshot())
+
+    def test_scenarios_take_the_paths_they_stand_for(self, row_scenarios):
+        scenarios = {name: scenario for name, (_, scenario) in row_scenarios.items()}
+        assert scenarios["office"].rules.pairwise and scenarios["office"].decomposable
+        assert not scenarios["random"].rules
+        assert scenarios["crowded"].rules.pairwise and not scenarios["crowded"].decomposable
+        assert scenarios["three-literal"].rules.joins
 
 
 class TestSearch:
