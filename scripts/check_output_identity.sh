@@ -22,8 +22,14 @@
 # variant with no two robots in one office (whose commits refilter the other
 # robots' rows), the candidate row of each agent that the full and the
 # approximate monitor build on each reconstructing tick, and the approximate
-# fixpoint's table and commits. The script prints one line per compared file
-# and exits non-zero if any pair differs.
+# fixpoint's table and commits. The exhaustive search runs that fixpoint too,
+# so where a scenario is not decomposable the full variant's block also
+# lists a table and its commits for each reconstructing tick; a change in
+# which route runs the fixpoint shows up in `rows.out` alone. `outcomes.out`
+# lists, for the same runs, one line per call of the full route: the tick,
+# R, then the solution count and the cap-hit and no-completion flags.
+# The script prints one line per compared file and exits non-zero if any
+# pair differs.
 set -eu
 before=$1 after=$2 out=$3
 export PYTHONHASHSEED=0
@@ -58,10 +64,11 @@ for side in before after; do
     python - <<'PY'
 import random
 
-from normmon import reconstruction
+from normmon import monitor as monitor_module, reconstruction
+from normmon.actions import apply_concurrent
 from normmon.harness import (
-    CaseStudyConfig, RandomConfig, applicable_actions, apply_concurrent, generate_case_study,
-    generate_random, observe, oracle_events, simulate,
+    CaseStudyConfig, RandomConfig, applicable_actions, generate_case_study, generate_random,
+    observe, oracle_events, simulate,
 )
 from normmon.logic import atom_text
 from normmon.monitor import NormMonitor
@@ -113,7 +120,8 @@ def crowded(seed):
 runs += [("crowded", seed, *crowded(seed)) for seed in (3, 6, 7)]
 
 rows, fixpoint = reconstruction.candidate_actions, reconstruction.approximate_search
-with open("rows.out", "w") as out:
+full = monitor_module.full_reconstruct
+with open("rows.out", "w") as out, open("outcomes.out", "w") as outcomes:
     tick = [None]
 
     def listed_row(scenario, agent, i, f):
@@ -128,9 +136,17 @@ with open("rows.out", "w") as out:
         print(tick[0], "commits", *committed, file=out)
         return table, committed
 
+    def listed_outcome(scenario, i, f, observed, targets):
+        outcome, acts = full(scenario, i, f, observed, targets)
+        print(tick[0], *outcome.reconstructed, "|", outcome.solution_count,
+              outcome.cap_hit, outcome.no_completion, file=outcomes)
+        return outcome, acts
+
     reconstruction.candidate_actions = listed_row
     reconstruction.approximate_search = listed_fixpoint
+    monitor_module.full_reconstruct = listed_outcome
     for kind, seed, scenario, observed in runs:
+        print(kind, seed, file=outcomes)
         for variant in ("full", "approximate"):
             print(kind, seed, variant, file=out)
             monitor = NormMonitor(scenario, variant=variant)

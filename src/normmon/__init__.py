@@ -73,7 +73,6 @@ from .reconstruction import (
     approximate_reconstruct,
     approximate_search,
     candidate_actions,
-    check_solution_consistency,
     full_reconstruct,
     search,
 )
@@ -83,7 +82,6 @@ from .scenario import (
     load_scenario,
     parse_atom,
     parse_literal,
-    save_scenario,
     scenario_from_dict,
     scenario_hash,
     scenario_to_dict,

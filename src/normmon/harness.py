@@ -6,10 +6,10 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from itertools import compress
+from itertools import compress, count
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from .actions import ActionInstance, apply_concurrent, concurrent_condition_satisfied
+from .actions import ActionInstance, joint_successor
 from .logic import Atom
 from .monitor import NormMonitor, TickRecord
 from .norms import (
@@ -246,53 +246,31 @@ def applicable_actions(scenario: Scenario, agent: str, state: Set[Atom]) -> List
     return list(compress(scenario.ground_actions(agent), map(holds.__getitem__, pre_of)))
 
 
-def _joint_offenders(joint: Sequence[ActionInstance]) -> Set[str]:
-    """Actors whose action breaks the joint action's consistency: an
-    unsatisfied concurrent condition, or a postcondition that another post
-    of the joint action contradicts."""
-    offenders = {a.actor for a in joint if a.con and not concurrent_condition_satisfied(a, joint)}
-    sign_of: Dict[Atom, bool] = {}
-    clashing: Set[Atom] = set()
-    for a in joint:
-        for atom, sign in a.post:
-            if sign_of.setdefault(atom, sign) != sign:
-                clashing.add(atom)
-    if clashing:
-        offenders.update(a.actor for a in joint if any(atom in clashing for atom, _ in a.post))
-    return offenders
-
-
 def step_world(
     scenario: Scenario, state: Set[Atom], rng: random.Random
 ) -> Tuple[List[ActionInstance], Set[Atom]]:
     """One tick of ground truth: each agent draws uniformly among its
-    applicable actions; the joint action is repaired to consistency by up to
-    ten resampling rounds, with NOP as the fallback for stubborn agents."""
+    applicable actions; the joint action is repaired by up to ten resampling
+    rounds, with NOP as the fallback for stubborn agents, until
+    ``actions.joint_successor`` finds no offender; its successor is kept."""
     agents = sorted(scenario.agents)
     options = {g: applicable_actions(scenario, g, state) for g in agents}
     choice = {
         g: (rng.choice(opts) if opts else scenario.nop_instance(g))
         for g, opts in options.items()
     }
-    for _ in range(10):
+    for rounds in count():
         joint = [choice[g] for g in agents]
-        offenders = _joint_offenders(joint)
+        new, offenders = joint_successor(joint, state, scenario.statics, scenario.rules)
         if not offenders:
-            break
+            return joint, new
         for g in sorted(offenders):
-            if options[g]:
+            if rounds >= 10:
+                # Falling back to NOP can orphan another action's
+                # concurrency requirement, so iterate until nothing breaks.
+                choice[g] = scenario.nop_instance(g)
+            elif options[g]:
                 choice[g] = rng.choice(options[g])
-    # Falling back to NOP can orphan another action's concurrency
-    # requirement, so iterate; the all-NOP joint is always consistent.
-    while True:
-        joint = [choice[g] for g in agents]
-        offenders = _joint_offenders(joint)
-        if not offenders:
-            break
-        for g in sorted(offenders):
-            choice[g] = scenario.nop_instance(g)
-    new = apply_concurrent(joint, state, scenario.statics, scenario.rules, scenario.agents)
-    return joint, new
 
 
 def observe(

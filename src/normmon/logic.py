@@ -374,7 +374,7 @@ class _Body:
         unbound = [t for c in constraints for t in (c[0], c[2]) if is_variable(t) and t not in slots]
         self.checks = None if unbound else [(slots.get(l, l), rel == "=", slots.get(r, r)) for l, rel, r in constraints]
 
-    def fires(self, world: OpenWorld, seed: Sequence[str] = ()) -> bool:
+    def fires(self, world: OpenWorld | ClosedWorld, seed: Sequence[str] = ()) -> bool:
         if self.checks is None:
             return False
 
@@ -435,18 +435,22 @@ class CompiledRules(tuple):
         # (predicate, sign) -> probes of the body positions it can take; a
         # rule of one body literal is read as that literal twice
         self._probes: Dict[Tuple[str, bool], List[Probe]] = {}
-        # rules of three or more body literals: (sign, pattern of a body
-        # literal, the rest of the body joined from its bindings)
-        self.joins: List[Tuple[bool, Matcher, _Body]] = []
+        # every rule once per body position: (sign, pattern of the body
+        # literal there, the rest of the body joined from its bindings)
+        self.seeded: List[Tuple[bool, Matcher, _Body]] = []
+        self.joins: List[Tuple[bool, Matcher, _Body]] = []  # of rules of 3+ body literals
         # ground literal -> what _needs_of works out, filled on first check
         self._needs: Dict[Literal, Tuple] = {}
         for rule in self:
             literals = rule.literals
+            seeded = []
+            for i, (pattern, sign) in enumerate(literals):
+                fits = Matcher(pattern)
+                rest = _Body(literals[:i] + literals[i + 1 :], rule.constraints, tuple(fits.first))
+                seeded.append((sign, fits, rest))
+            self.seeded += seeded
             if len(literals) > 2:
-                for i, (pattern, sign) in enumerate(literals):
-                    fits = Matcher(pattern)
-                    rest = _Body(literals[:i] + literals[i + 1 :], rule.constraints, tuple(fits.first))
-                    self.joins.append((sign, fits, rest))
+                self.joins += seeded
                 continue
             bound = {t for atom, _ in literals for t in atom[1:] if is_variable(t)}
             sides = {t for c in rule.constraints for t in (c[0], c[2]) if is_variable(t)}
@@ -534,16 +538,12 @@ class CompiledRules(tuple):
         for literal in added.items():
             if any(self.clashes(literal, union)):
                 return False
-        if self.joins:
-            world = OpenWorld(union, self.statics)
-            for sign, fits, rest in self.joins:
-                # Seed the rest of the body with each added literal in each
-                # body position; bodies inside the consistent base cannot fire.
-                for atom, asign in added.items():
-                    if asign == sign and fits.matches(atom):
-                        if rest.fires(world, [atom[p] for p in fits.first.values()]):
-                            return False
-        return True
+        if not self.joins:
+            return True
+        # Seed the rest of each body with each added literal in each body
+        # position; bodies inside the consistent base cannot fire.
+        world = OpenWorld(union, self.statics)
+        return not any(_fires_through(self.joins, literal, world) for literal in added.items())
 
 
 class _Union:
@@ -607,6 +607,33 @@ def _compiled(rules: Sequence[IntegrityRule], statics: StaticFacts) -> CompiledR
     if isinstance(rules, CompiledRules) and rules.statics is statics:
         return rules
     return CompiledRules(rules, statics)
+
+
+def fired_through(
+    state: Collection[Atom],
+    literals: Iterable[Literal],
+    statics: StaticFacts,
+    rules: Sequence[IntegrityRule],
+) -> Set[Literal]:
+    """The ground literals through which a rule body holds in a full state
+    (a :class:`ClosedWorld`): placed at one of the body's positions, the
+    rest of the body holds there. A body that did not hold before the state
+    changed can only hold after it through a changed literal."""
+    if not rules:
+        return set()
+    seeded = _compiled(rules, statics).seeded
+    world = ClosedWorld(state, statics)
+    return {literal for literal in literals if _fires_through(seeded, literal, world)}
+
+
+def _fires_through(seeded, literal: Literal, world: OpenWorld | ClosedWorld) -> bool:
+    """Does a body of ``seeded`` (see :class:`CompiledRules`) hold in the
+    world with the ground literal at the position it was compiled for?"""
+    atom, sign = literal
+    return any(
+        s == sign and fits.matches(atom) and rest.fires(world, [atom[p] for p in fits.first.values()])
+        for s, fits, rest in seeded
+    )
 
 
 def survivors(

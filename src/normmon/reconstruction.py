@@ -4,10 +4,12 @@ Both routes fold the observed actions into a partial initial state ``i``
 and a partial final state ``f`` and build one per-agent candidate table,
 the fixpoint of :func:`approximate_search`: its commits are the actions
 the monitor can be certain about, and each candidate's postconditions are
-one post set of the possible completions. The exhaustive route enumerates
-the joint completions with :func:`search` instead when the scenario is not
-decomposable and the enumeration stays under the solution cap. Every
-route ends in one shared tail that updates ``i`` and ``f`` in place.
+one post set of the possible completions. On a scenario that is not
+decomposable the exhaustive route enumerates the joint completions with
+:func:`search`, which branches over the rows the table leaves open and
+checks only concurrency conditions at a leaf. Two commits that contradict
+each other raise :class:`KnowledgeFault` in every route. Every route ends
+in one shared tail that updates ``i`` and ``f`` in place.
 """
 
 from __future__ import annotations
@@ -18,8 +20,8 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .actions import (
     ActionInstance,
+    concurrent_condition_satisfied,
     effects,
-    is_concurrent_consistent,
     joint_post,
     joint_pre,
 )
@@ -91,19 +93,6 @@ def _row(scenario: Scenario, bits: ActionBits, i: LiteralSet, f: LiteralSet, row
     return row
 
 
-def check_solution_consistency(
-    scenario: Scenario,
-    observed: Sequence[ActionInstance],
-    solution: Sequence[ActionInstance],
-    i: LiteralSet,
-    f: LiteralSet,
-) -> bool:
-    """The joint action must be a consistent concurrent action over all
-    agents and induce consistent initial and final states."""
-    joint = list(observed) + list(solution)
-    return is_concurrent_consistent(joint, scenario.agents, scenario.statics, scenario.rules, i, f)
-
-
 def _assume_checked(
     scenario: Scenario,
     state: LiteralSet,
@@ -151,43 +140,51 @@ def search(
 ) -> Tuple[List[Tuple[ActionInstance, ...]], bool]:
     """Enumerate all joint completions of the target agents' actions.
 
-    Every branch extends i with the chosen action's preconditions and f
-    with its postconditions before recursing, so deeper candidates are
-    checked against everything already assumed. Branches over *every*
-    consistent instantiation, not only the first, so the union of leaves is
-    the complete solution set. Returns (solutions, cap_hit); i and f are
-    restored before returning.
+    On copies of i and f with the observed actions folded in, branch over
+    every candidate of the rows that :func:`approximate_search` leaves
+    open, extending i with each chosen action's preconditions and f with
+    its postconditions, so along a path the joint pre and post stay
+    consistent. A leaf checks only the concurrency conditions, and only
+    when some action at hand has any. Each completion is a tuple over all
+    targets, commits included. Returns (solutions, cap_hit).
     """
     targets = sorted(targets)
     if not targets:
         return [], False
-    i = i.copy()
-    f = f.copy()
+    i, f = i.copy(), f.copy()
     _fold_observed(scenario, i, f, observed)
-    base = {t: candidate_actions(scenario, t, i, f) for t in targets}
+    table, committed = approximate_search(scenario, i, f, targets)
+    if not all(table.values()):
+        return [], False
+    chosen = {t: table[t][0] for t in committed}
+    open_rows = [(t, table[t]) for t in targets if t not in chosen]
+    conditioned = any(a.con for row in [observed, *table.values()] for a in row)
     solutions: List[Tuple[ActionInstance, ...]] = []
-    stack: List[ActionInstance] = []
     cap_hit = False
 
     def rec(idx: int) -> None:
         nonlocal cap_hit
         if cap_hit:
             return
-        if idx == len(targets):
-            solutions.append(tuple(stack))
+        if idx == len(open_rows):
+            if conditioned:
+                joint = [*observed, *chosen.values()]
+                if not all(concurrent_condition_satisfied(a, joint) for a in joint if a.con):
+                    return
+            solutions.append(tuple(chosen[t] for t in targets))
             if len(solutions) >= cap:
                 cap_hit = True
             return
-        for a in base[targets[idx]]:
-            # base lists were filtered against the un-extended states; the
-            # states only grow along a path, so re-checking is sound.
+        t, row = open_rows[idx]
+        for a in row:
+            # The rows fit the states the fixpoint left; the states only
+            # grow along a path, so an action is checked again here.
             if not action_fits(a, i, f, scenario):
                 continue
             added_i = i.assume(a.pre)
             added_f = f.assume(a.post)
-            stack.append(a)
+            chosen[t] = a
             rec(idx + 1)
-            stack.pop()
             i.retract(added_i)
             f.retract(added_f)
 
@@ -251,33 +248,32 @@ def full_reconstruct(
     observed-action list (observed plus committed reconstructions).
 
     Unless the scenario is decomposable, R is the intersection of the
-    consistent completions that ``search`` enumerates, with one joint post
-    set each. On a decomposable one every tuple of per-agent candidates is
-    a completion, so the fixpoint table gives the same R, its commits, and
-    the same post sets, one per candidate, without enumerating. The cap
-    bounds the enumeration only: when ``search`` stops at it, the route
-    takes the table too, since every completion contains each commit.
+    completions that ``search`` enumerates, with one joint post set each;
+    with none, or when the observed actors and targets do not cover the
+    agents exactly, the states keep the fold and the fixpoint's commits,
+    which are R. On a decomposable scenario every tuple of candidates is a
+    completion, so the table gives the same R and post sets, one per
+    candidate, without enumerating. The cap bounds the enumeration only:
+    when ``search`` stops at it, the route takes the table too.
     """
     targets = sorted(targets)
     acts = sorted(observed, key=lambda a: a.schema)
     _fold_observed(scenario, i, f, acts)
     cap_hit = False
     if not scenario.decomposable:
-        solutions, cap_hit = search(scenario, i, f, acts, targets, cap=cap)
+        covered = sorted([a.actor for a in acts] + targets) == sorted(scenario.agents)
+        solutions, cap_hit = search(scenario, i, f, acts, targets, cap=cap) if covered else ([], False)
         if not cap_hit:
-            consistent = [
-                s for s in solutions if check_solution_consistency(scenario, acts, s, i, f)
-            ]
-            r_set = set(consistent[0]) if consistent else set()
-            for s in consistent[1:]:
-                if not r_set:
-                    break
-                r_set &= set(s)
-            reconstructed = tuple(sorted(r_set, key=lambda a: a.schema))
-            post_sets = (joint_post(s) for s in consistent) if consistent else None
+            if solutions:
+                reconstructed = set(solutions[0]).intersection(*solutions[1:])
+                post_sets = map(joint_post, solutions)
+            else:  # the states keep the fold and the fixpoint's commits
+                table, committed = approximate_search(scenario, i, f, targets)
+                reconstructed, post_sets = [table[t][0] for t in committed], None
+            reconstructed = tuple(sorted(reconstructed, key=lambda a: a.schema))
             acts = _commit(scenario, i, f, acts, reconstructed, post_sets)
             outcome = ReconstructionOutcome(
-                reconstructed, (), solution_count=len(consistent), no_completion=not consistent
+                reconstructed, (), solution_count=len(solutions), no_completion=not solutions
             )
             return outcome, acts
     outcome, table, acts = _table_route(scenario, i, f, acts, targets)

@@ -595,6 +595,13 @@ def scenario_from_dict(data: Dict) -> Scenario:
         )
         for r in data["rules"]
     )
+    for rule in rules:
+        unbound = _unbound_negative(rule.literals)
+        if unbound is not None:
+            raise ScenarioError(
+                f"rule {_rule_text(rule)}: no positive literal binds every variable of "
+                f"{literal_text(unbound)}, so a closed-world check cannot decide it"
+            )
     descriptions = []
     for d in data["action_descriptions"]:
         con = tuple(
@@ -741,11 +748,6 @@ def dump_scenario(s: Scenario) -> str:
 def load_scenario(path: str) -> Scenario:
     with open(path) as fh:
         return scenario_from_dict(json.load(fh))
-
-
-def save_scenario(s: Scenario, path: str) -> None:
-    with open(path, "w") as fh:
-        fh.write(dump_scenario(s))
 
 
 def scenario_hash(s: Scenario) -> str:

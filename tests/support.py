@@ -19,7 +19,7 @@ from normmon.harness import (
     simulate,
 )
 from normmon.logic import consistent_with
-from normmon.actions import joint_post, joint_pre
+from normmon.actions import concurrent_condition_satisfied, joint_post, joint_pre
 from normmon.monitor import NormMonitor
 from normmon.norms import (
     FULFILLED,
@@ -31,8 +31,22 @@ from normmon.norms import (
     matched_by,
     relevant_instances_closed,
 )
-from normmon.reconstruction import check_solution_consistency
 from normmon.scenario import Scenario
+
+
+def joint_consistent(scenario: Scenario, joint, before, after) -> bool:
+    """The reference joint check, kept apart from the package's own: one
+    action per agent, the joint preconditions consistent with the partial
+    state ``before`` and the joint postconditions with ``after``, and every
+    concurrency condition met."""
+    actors = [a.actor for a in joint]
+    if len(actors) != len(set(actors)) or set(actors) != set(scenario.agents):
+        return False
+    if not consistent_with(before, joint_pre(joint), scenario.statics, scenario.rules):
+        return False
+    if not consistent_with(after, joint_post(joint), scenario.statics, scenario.rules):
+        return False
+    return all(concurrent_condition_satisfied(a, joint) for a in joint)
 
 
 def _soundness_config(idx: int) -> RandomConfig:
@@ -63,7 +77,7 @@ class _Recorder:
 
     The full route may take its product-form shortcut and never search, so
     the reference solution set is computed here, by ``search`` plus
-    ``check_solution_consistency`` on copies of the states after folding the
+    :func:`joint_consistent` on copies of the states after folding the
     observed actions in, for every incomplete tick of either form."""
 
     def __init__(self):
@@ -77,11 +91,7 @@ class _Recorder:
             i2, f2 = i.copy(), f.copy()
             reconstruction._fold_observed(scenario, i2, f2, observed)
             sols, _ = reconstruction.search(scenario, i2, f2, observed, targets, cap)
-            consistent = [
-                s
-                for s in sols
-                if check_solution_consistency(scenario, list(observed), s, i2, f2)
-            ]
+            consistent = [s for s in sols if joint_consistent(scenario, [*observed, *s], i2, f2)]
             self.full_calls.append((tuple(sorted(targets)), consistent))
             return self._full(scenario, i, f, observed, targets, cap=cap)
 
@@ -205,26 +215,26 @@ def run_soundness_suite(n_scenarios: int = 200) -> Dict:
 
 def _brute_force_search(scenario, i, f, observed, targets):
     """Reference oracle: enumerate every joint assignment of ground actions
-    to the target agents and keep the ones whose joint pre/post-conditions
-    are consistent with the (observation-extended) partial states."""
+    to the target agents and keep the ones that, with the observed actions,
+    pass :func:`joint_consistent` against the (observation-extended)
+    partial states."""
     i = i.copy()
     f = f.copy()
     reconstruction._fold_observed(scenario, i, f, observed)
     rows = [scenario.ground_actions(t) for t in sorted(targets)]
-    out = []
-    for combo in itertools.product(*rows):
-        if not consistent_with(i, joint_pre(combo), scenario.statics, scenario.rules):
-            continue
-        if not consistent_with(f, joint_post(combo), scenario.statics, scenario.rules):
-            continue
-        out.append(combo)
-    return out
+    return [
+        combo
+        for combo in itertools.product(*rows)
+        if joint_consistent(scenario, [*observed, *combo], i, f)
+    ]
 
 
 def run_search_oracle(min_instances: int = 100, max_seeds: int = 1500) -> Dict:
     """Compare search() with the brute-force oracle on naturally arising
-    reconstruction instances (|targets| <= 3, <= 10 candidates per agent)."""
-    checked = 0
+    reconstruction instances (|targets| <= 3, <= 10 candidates per agent).
+    ``conditioned`` counts the compared instances in which an observed or
+    ground action of a target has a concurrency condition."""
+    checked = conditioned = 0
     mismatches: List[str] = []
     instances = []
 
@@ -270,5 +280,8 @@ def run_search_oracle(min_instances: int = 100, max_seeds: int = 1500) -> Dict:
                     f"seed {cfg.seed} targets {targets}: search found {len(got)}, oracle {len(want)}"
                 )
             checked += 1
+            conditioned += any(
+                a.con for a in [*observed, *(b for t in targets for b in sc.ground_actions(t))]
+            )
         instances.clear()
-    return {"instances": checked, "mismatches": mismatches}
+    return {"instances": checked, "mismatches": mismatches, "conditioned": conditioned}

@@ -176,10 +176,12 @@ class TestCriterion5SearchOracle:
     def test_search_equals_brute_force(self, search_oracle_report):
         ok = (
             search_oracle_report["instances"] >= 100
+            and search_oracle_report["conditioned"] >= 20
             and not search_oracle_report["mismatches"]
         )
         detail = (
-            f"{search_oracle_report['instances']} instances, "
+            f"{search_oracle_report['instances']} instances "
+            f"({search_oracle_report['conditioned']} with concurrency conditions), "
             f"{len(search_oracle_report['mismatches'])} mismatches"
         )
         _report(5, ok, detail)

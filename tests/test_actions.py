@@ -1,5 +1,8 @@
+import itertools
+
 import pytest
 
+from conftest import crowded_office
 from normmon.actions import (
     InapplicableActionError,
     apply_concurrent,
@@ -8,6 +11,7 @@ from normmon.actions import (
     joint_pre,
 )
 from normmon.harness import applicable_actions
+from normmon.logic import is_consistent
 from normmon.scenario import parse_atom, scenario_from_dict, scenario_to_dict
 
 
@@ -121,3 +125,39 @@ class TestInconsistentConcurrentAction:
         with pytest.raises(InapplicableActionError, match="inconsistent concurrent action"):
             apply_joint(scenario, ["move(r1,a,b)", "move(r2,d,a)", "nop(r3)"])
         apply_joint(scenario, ["move(r1,a,b)", "move(r2,d,e)", "nop(r3)"])
+
+    def test_a_successor_that_breaks_a_rule(self):
+        # No two robots in one office: r3 may not enter o2 while r2 stays.
+        scenario = crowded_office(0)
+        nops = [f"nop({r})" for r in scenario.agents if r != "r3"]
+        with pytest.raises(InapplicableActionError, match="inconsistent concurrent action"):
+            apply_joint(scenario, ["move(r3,o3,o2)", *nops])
+        apply_joint(scenario, ["move(r3,o3,o6)", *nops])
+
+    def test_every_joint_action_is_judged_by_its_successor(self):
+        # Each joint action of the crowded office's first tick is accepted
+        # exactly when the successor, read as the closed literal set over
+        # the dynamic atoms, is consistent and no two posts clash.
+        scenario = crowded_office(0)
+        state = set(scenario.initial_state)
+        rows = [
+            applicable_actions(scenario, g, state) + [scenario.nop_instance(g)]
+            for g in scenario.agents
+        ]
+        accepted = 0
+        for joint in itertools.product(*rows):
+            posts = joint_post(joint)
+            new = (state - {atom for atom, sign in posts if not sign}) | {
+                atom for atom, sign in posts if sign
+            }
+            closed = [(atom, atom in new) for atom in scenario.dynamic_atoms]
+            expected = is_consistent(closed, scenario.statics, scenario.rules) and is_consistent(
+                posts, scenario.statics, []
+            )
+            try:
+                got = apply_concurrent(joint, state, scenario.statics, scenario.rules, scenario.agents)
+            except InapplicableActionError:
+                got = None
+            assert got == (new if expected else None)
+            accepted += expected
+        assert 0 < accepted < len(list(itertools.product(*rows)))

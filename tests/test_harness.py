@@ -18,10 +18,11 @@ from normmon.harness import (
     score_run,
     simulate,
 )
+from normmon.logic import is_consistent
 from normmon.norms import FULFILLED, VIOLATED
 from normmon.scenario import scenario_from_dict, scenario_hash, scenario_to_dict
 
-from conftest import generated_scenarios
+from conftest import crowded_office, generated_scenarios
 
 
 def case_study(seed=0, **kwargs):
@@ -100,6 +101,19 @@ class TestSimulation:
         log = simulate(sc, 30, rng)
         for executed, observed in zip(log.executed, log.observed):
             assert set(observed) == set(executed)
+
+    def test_the_crowded_office_runs_within_its_rules(self):
+        # No two robots in one office: the repair must see the rule, which
+        # joins the successor's atoms of two robots.
+        moves = 0
+        for seed in range(20):
+            scenario = crowded_office(seed)
+            log = simulate(scenario, 40, random.Random(seed))
+            for state in log.states:
+                closed = [(atom, atom in state) for atom in scenario.dynamic_atoms]
+                assert is_consistent(closed, scenario.statics, scenario.rules)
+            moves += sum(a.name == "move" for acts in log.executed for a in acts)
+        assert moves > 100
 
     def test_zero_probability_observes_only_nops(self):
         cfg = RandomConfig(agents=3, actions=4, observation_probability=0.0, seed=5)

@@ -174,6 +174,13 @@ def _recomputing_fixpoint(scenario, i, f, targets):
     return table, committed
 
 
+def _crowded(fig1):
+    """fig1 with no two robots in one office."""
+    data = scenario_to_dict(fig1)
+    data["rules"].append({"body": ["in(R1,O)", "in(R2,O)"], "constraints": ["R1!=R2"]})
+    return scenario_from_dict(data)
+
+
 class TestPairwiseCore:
     """The pairwise paths against the per-literal reference, on whole runs."""
 
@@ -200,7 +207,7 @@ class TestPairwiseCore:
                 jumps += len(jumping)
             for variant in VARIANTS:
                 NormMonitor(scenario, variant=variant).run(log.observed)
-            # The generic full route builds its rows in search.
+            # The generic full route builds its rows in the fixpoint search runs.
             with monkeypatch.context() as m:
                 m.setattr(scenario, "_decomposable", False)
                 NormMonitor(scenario, variant="full").run(log.observed)
@@ -230,9 +237,7 @@ class TestPairwiseCore:
     def test_a_commit_cascades_through_a_refiltered_row(self, fig1):
         # No two robots in one office: r3's only move, into b, leaves r2
         # the move into e once r3 has committed.
-        data = scenario_to_dict(fig1)
-        data["rules"].append({"body": ["in(R1,O)", "in(R2,O)"], "constraints": ["R1!=R2"]})
-        crowded = scenario_from_dict(data)
+        crowded = _crowded(fig1)
         i = closed_state(crowded, [("in", "r1", "d"), ("in", "r2", "a"), ("in", "r3", "c")])
         f = LiteralSet([(("in", "r1", "a"), True), (("in", "r1", "d"), False)])
         i2, f2 = i.copy(), f.copy()
@@ -520,20 +525,61 @@ class TestApproximateReconstruction:
             NormMonitor(scenario, variant="full").run(log.observed)
         assert sum(generic) > 200 and len(generic) - sum(generic) > 150
 
-    def test_no_completion_keeps_the_commits_in_both_routes(self, fig1, worked_example, inst):
+    def test_no_completion_keeps_the_commits_in_both_routes(
+        self, fig1, worked_example, inst, monkeypatch
+    ):
         # r2 stays in d: neither of its moves fits, while r3's only move
-        # still commits. The states gain that commit and nothing more.
+        # still commits. The states gain that commit and nothing more, in
+        # the table routes and in the forced generic form, whose search
+        # finds no completion.
         i, f, observed, targets = worked_example
         f.add((("in", "r2", "d"), True))
         commit = inst("move(r3,e,a)")
         expected_i = i.snapshot() | commit.pre
         expected_f = f.snapshot() | commit.post
-        for route in (full_reconstruct, approximate_reconstruct):
+        assert fig1.decomposable
+        for route, decomposable in (
+            (full_reconstruct, True),
+            (approximate_reconstruct, True),
+            (full_reconstruct, False),
+        ):
             i2, f2 = i.copy(), f.copy()
-            outcome, acts = route(fig1, i2, f2, observed, targets)
+            with monkeypatch.context() as m:
+                m.setattr(fig1, "_decomposable", decomposable)
+                outcome, acts = route(fig1, i2, f2, observed, targets)
             assert outcome.no_completion and not outcome.cap_hit
             assert outcome.reconstructed == (commit,)
-            assert outcome.candidate_counts == {"r2": 0, "r3": 1}
+            if decomposable:
+                assert outcome.candidate_counts == {"r2": 0, "r3": 1}
             assert acts == sorted([*observed, commit], key=lambda a: a.schema)
             assert (i2.snapshot(), f2.snapshot()) == (expected_i, expected_f)
-        assert full_reconstruct(fig1, i.copy(), f.copy(), observed, targets)[0].solution_count == 0
+            if route is full_reconstruct:
+                assert outcome.solution_count == 0
+
+    def test_contradicting_singleton_rows_raise_a_knowledge_fault_in_every_route(
+        self, fig1, monkeypatch
+    ):
+        # No two robots in one office. r1 is seen entering a, so r2 must
+        # leave it, and not for e; r3's only move is into b too. Both rows
+        # are singletons that no run can execute together.
+        crowded = _crowded(fig1)
+        i = closed_state(crowded, [("in", "r1", "d"), ("in", "r2", "a"), ("in", "r3", "c")])
+        f = LiteralSet([(("in", "r2", "e"), False)])
+        observed = [crowded.instance_from_schema(("move", "r1", "d", "a"))]
+        rows = {}
+        for t in ("r2", "r3"):
+            i2, f2 = i.copy(), f.copy()
+            reconstruction._fold_observed(crowded, i2, f2, observed)
+            rows[t] = [str(a) for a in candidate_actions(crowded, t, i2, f2)]
+        assert rows == {"r2": ["move(r2,a,b)"], "r3": ["move(r3,c,b)"]}
+        assert not crowded.decomposable
+        for route, decomposable in (
+            (search, False),
+            (full_reconstruct, False),
+            (full_reconstruct, True),
+            (approximate_reconstruct, False),
+        ):
+            with monkeypatch.context() as m:
+                m.setattr(crowded, "_decomposable", decomposable)
+                with pytest.raises(KnowledgeFault, match="committed action"):
+                    route(crowded, i.copy(), f.copy(), observed, ["r2", "r3"])

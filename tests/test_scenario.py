@@ -131,6 +131,14 @@ class TestRoundTrip:
         # Only the moves along one-way corridors are left.
         assert moves and all(("corridor", a.args[2], a.args[1]) not in scenario.statics for a in moves)
 
+    def test_rule_negative_with_an_unbound_variable_rejected(self, fig1):
+        # The simulator reads a successor state as a closed world, where a
+        # negative literal can only be tested once its variables are bound.
+        data = scenario_to_dict(fig1)
+        data["rules"].append({"body": ["robot(R)", "-in(R,O)"]})
+        with pytest.raises(ScenarioError, match=re.escape("binds every variable of -in(R,O)")):
+            scenario_from_dict(data)
+
     def test_initial_state_that_breaks_a_rule_rejected(self, fig1):
         # A monitor with complete knowledge would start from an inconsistent
         # state: the true initial atoms and the other dynamic atoms negated.

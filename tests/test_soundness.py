@@ -24,3 +24,6 @@ class TestSearchOracle:
     def test_search_matches_brute_force_on_100_instances(self, search_oracle_report):
         assert search_oracle_report["instances"] >= 100
         assert search_oracle_report["mismatches"] == []
+        # The leaf check decides concurrency conditions: some compared
+        # instances must have them.
+        assert search_oracle_report["conditioned"] >= 20
