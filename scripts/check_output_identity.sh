@@ -12,20 +12,22 @@
 # `agents` as a string, and fig1 with an unknown top-level key), so that the
 # wording of a rejection is compared too.
 # Ground truth is compared directly too: `simulate.out` lists, for a few
-# office and random scenarios, each tick's executed and observed actions
-# and the true state after it, so a change in the simulator's use of its
-# random stream or in its action order shows up even where the scores do
-# not move. `oracle.out` lists, for the same scenarios, every event of the
-# omniscient judge (`harness.oracle_events`): tick, norm, controlled action,
-# residual constraints, status and offender, which the score CSVs show only
-# as counts. `rows.out` lists, for the same scenarios and for an office
-# variant with no two robots in one office (whose commits refilter the other
-# robots' rows), the candidate row of each agent that the full and the
-# approximate monitor build on each reconstructing tick, and the approximate
-# fixpoint's table and commits. The exhaustive search runs that fixpoint too,
-# so where a scenario is not decomposable the full variant's block also
-# lists a table and its commits for each reconstructing tick; a change in
-# which route runs the fixpoint shows up in `rows.out` alone. `outcomes.out`
+# office and random scenarios and an office variant with no two robots in
+# one office (a rule over two agents' positions, which the simulator
+# repairs, and whose commits refilter the other robots' rows), each tick's
+# executed and observed actions and the true state after it, so a change in
+# the simulator's use of its random stream, in its action order or in its
+# rule check shows up even where the scores do not move. `oracle.out`
+# lists, for the same scenarios, every event of the omniscient judge
+# (`harness.oracle_events`): tick, norm, controlled action, residual
+# constraints, status and offender, which the score CSVs show only as
+# counts. `rows.out` lists, for the same runs, the candidate row of each
+# agent that the full and the approximate monitor build on each
+# reconstructing tick, and the approximate fixpoint's table and commits.
+# The exhaustive search runs that fixpoint too, so where a scenario is not
+# decomposable the full variant's block also lists a table and its commits
+# for each reconstructing tick; a change in which route runs the fixpoint
+# shows up in `rows.out` alone. `outcomes.out`
 # lists, for the same runs, one line per call of the full route: the tick,
 # R, then the solution count and the cap-hit and no-completion flags.
 # The script prints one line per compared file and exits non-zero if any
@@ -65,22 +67,31 @@ for side in before after; do
 import random
 
 from normmon import monitor as monitor_module, reconstruction
-from normmon.actions import apply_concurrent
 from normmon.harness import (
-    CaseStudyConfig, RandomConfig, applicable_actions, generate_case_study, generate_random,
-    observe, oracle_events, simulate,
+    CaseStudyConfig, RandomConfig, generate_case_study, generate_random, oracle_events, simulate,
 )
 from normmon.logic import atom_text
 from normmon.monitor import NormMonitor
 from normmon.scenario import constraint_text, scenario_from_dict, scenario_to_dict
 
+
+def crowded(cfg, rng):
+    """An office scenario with no two robots in one office."""
+    data = scenario_to_dict(generate_case_study(cfg, rng))
+    data["rules"].append({"body": ["in(R1,O)", "in(R2,O)"], "constraints": ["R1!=R2"]})
+    data["initial_state"] = [f"in({r},o{k})" for k, r in enumerate(data["agents"], 1)]
+    return scenario_from_dict(data)
+
+
 runs = []  # (kind, seed, scenario, observed actions per tick), for rows.out
 with open("simulate.out", "w") as sim, open("oracle.out", "w") as oracle:
-    for kind, generate, cfg in (
-        ("office", generate_case_study, CaseStudyConfig(camera_ratio=0.4)),
-        ("random", generate_random, RandomConfig(agents=4, observation_probability=0.5)),
+    for kind, generate, cfg, seeds in (
+        ("office", generate_case_study, CaseStudyConfig(camera_ratio=0.4), range(4)),
+        ("random", generate_random, RandomConfig(agents=4, observation_probability=0.5), range(4)),
+        ("crowded", crowded, CaseStudyConfig(offices_min=6, offices_max=8, robots_min=4,
+                                             robots_max=5, camera_ratio=0.3), (3, 6, 7)),
     ):
-        for seed in range(4):
+        for seed in seeds:
             rng = random.Random(seed)
             scenario = generate(cfg, rng)
             log = simulate(scenario, 40, rng)
@@ -94,30 +105,6 @@ with open("simulate.out", "w") as sim, open("oracle.out", "w") as oracle:
             for e in oracle_events(scenario, log):
                 residuals = ",".join(map(constraint_text, e.constraints)) or "-"
                 print(e.tick, e.norm_id, atom_text(e.action), residuals, e.status, e.offender, file=oracle)
-
-
-def crowded(seed):
-    """An office scenario with no two robots in one office, and its run:
-    each robot, in turn, moves to an office no robot holds or enters."""
-    rng = random.Random(seed)
-    cfg = CaseStudyConfig(offices_min=6, offices_max=8, robots_min=4, robots_max=5, camera_ratio=0.3)
-    data = scenario_to_dict(generate_case_study(cfg, rng))
-    data["rules"].append({"body": ["in(R1,O)", "in(R2,O)"], "constraints": ["R1!=R2"]})
-    data["initial_state"] = [f"in({r},o{k})" for k, r in enumerate(data["agents"], 1)]
-    scenario = scenario_from_dict(data)
-    state, observed = set(scenario.initial_state), []
-    for _ in range(40):
-        joint, taken = [], {atom[2] for atom in state}
-        for g in scenario.agents:
-            moves = [a for a in applicable_actions(scenario, g, state) if a.args[2] not in taken]
-            joint.append(rng.choice(moves) if moves else scenario.nop_instance(g))
-            taken.add(joint[-1].args[-1])  # a move's target; a NOP adds its robot
-        state = apply_concurrent(joint, state, scenario.statics, scenario.rules, scenario.agents)
-        observed.append(observe(scenario, joint, rng))
-    return scenario, observed
-
-
-runs += [("crowded", seed, *crowded(seed)) for seed in (3, 6, 7)]
 
 rows, fixpoint = reconstruction.candidate_actions, reconstruction.approximate_search
 full = monitor_module.full_reconstruct

@@ -12,16 +12,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 from .actions import ActionInstance, joint_successor
 from .logic import Atom
 from .monitor import NormMonitor, TickRecord
-from .norms import (
-    FULFILLED,
-    IDENTIFIED,
-    UNKNOWN,
-    VIOLATED,
-    by_name,
-    first_match,
-    relevant_instances_closed,
-    status_of,
-)
+from .norms import FULFILLED, IDENTIFIED, VIOLATED, judge, relevant_instances_closed
 from .scenario import Scenario, scenario_from_dict
 
 # Derived-seed stride keeps repetition streams disjoint for any sane seed.
@@ -30,14 +21,14 @@ _SEED_STRIDE = 1_000_003
 
 @dataclass
 class CaseStudyConfig:
-    """Office/robot/corridor counts are drawn per repetition from the
-    configured intervals, as in the observability experiment protocol."""
+    """Office and robot counts are drawn per repetition from the configured
+    intervals, and the corridor count from [O, O*(O-1)], as in the
+    observability experiment protocol."""
 
     offices_min: int = 3
     offices_max: int = 10
     robots_min: int = 2
     robots_max: int = 5
-    corridors: Optional[int] = None  # None: drawn from [O, O*(O-1)]
     camera_ratio: float = 0.5
     steps: int = 100
     repetitions: int = 100
@@ -50,8 +41,6 @@ class CaseStudyConfig:
             raise ValueError("robot interval must satisfy 2 <= min <= max")
         if not 0.0 <= self.camera_ratio <= 1.0:
             raise ValueError("camera_ratio must lie in [0,1]")
-        if self.corridors is not None and self.corridors < self.offices_max:
-            raise ValueError("fixed corridor count below the office maximum")
 
 
 @dataclass
@@ -79,9 +68,7 @@ def generate_case_study(cfg: CaseStudyConfig, rng: random.Random) -> Scenario:
     offices = [f"o{i}" for i in range(1, n_offices + 1)]
     robots = [f"r{i}" for i in range(1, n_robots + 1)]
     pairs = [(x, y) for x in offices for y in offices if x != y]
-    count = cfg.corridors
-    if count is None:
-        count = rng.randint(n_offices, len(pairs))
+    count = rng.randint(n_offices, len(pairs))
     corridors = sorted(rng.sample(pairs, count))
     monitored = sorted(rng.sample(corridors, int(cfg.camera_ratio * count + 1e-9)))
     # Robots start in distinct offices while they fit; extras share.
@@ -328,13 +315,7 @@ def oracle_events(scenario: Scenario, log: GroundTruthLog) -> List[GroundTruthEv
     events = []
     for t, executed in enumerate(log.executed):
         instances = relevant_instances_closed(scenario.norms, log.states[t], scenario.statics)
-        complete = len(executed) == len(scenario.agents)
-        groups = by_name(executed)
-        for inst in instances:
-            match = first_match(inst, groups)
-            status = status_of(inst, match is not None, complete)
-            if status == UNKNOWN:  # cannot happen on complete logs
-                continue
+        for inst, status, match in judge(instances, executed, len(scenario.agents)):
             offender = match.actor if match else None
             events.append(
                 GroundTruthEvent(t, inst.norm_id, inst.action, inst.constraints, status, offender)

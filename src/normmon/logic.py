@@ -335,17 +335,19 @@ class OpenWorld:
 
 class ClosedWorld:
     """A full state, the set of true dynamic atoms, plus the static facts;
-    every other atom is false. The state is indexed once, when a plan first
-    lists atoms; membership tests need no index. A negative literal can only
-    be tested, so a plan must bind its variables first."""
+    every other atom is false. The state is indexed once, when its atoms are
+    first listed; membership tests need no index. A negative literal can
+    only be tested, so a plan must bind its variables first. It is its own
+    ``signs``, so :meth:`CompiledRules.clashes` reads it as a state: ``get``
+    is an atom's truth, and ``with_pred`` lists the state's true atoms."""
 
-    __slots__ = ("state", "statics", "_by_pred")
+    __slots__ = ("state", "statics", "signs", "_by_pred")
 
     def __init__(self, state: Collection[Atom], statics: StaticFacts):
-        self.state, self.statics = state, statics
+        self.state, self.statics, self.signs = state, statics, self
         self._by_pred: Optional[Dict[str, List[Atom]]] = None
 
-    def candidates(self, pred: str, sign: bool) -> Iterable[Atom]:
+    def with_pred(self, pred: str, sign: bool) -> Sequence[Atom]:
         if not sign:
             raise ValueError(f"negative {pred} literal not ground under closed-world match")
         by_pred = self._by_pred
@@ -353,11 +355,17 @@ class ClosedWorld:
             by_pred = self._by_pred = {}
             for a in self.state:
                 by_pred.setdefault(a[0], []).append(a)
-        found, more = by_pred.get(pred), self.statics.with_pred(pred)
+        return by_pred.get(pred, ())
+
+    def candidates(self, pred: str, sign: bool) -> Iterable[Atom]:
+        found, more = self.with_pred(pred, sign), self.statics.with_pred(pred)
         return [*found, *(a for a in more if a not in self.state)] if found else more
 
+    def get(self, atom: Atom) -> bool:
+        return atom in self.state or atom in self.statics
+
     def holds(self, atom: Atom, sign: bool) -> bool:
-        return (atom in self.state or atom in self.statics) == sign
+        return self.get(atom) == sign
 
 
 class _Body:
@@ -435,22 +443,19 @@ class CompiledRules(tuple):
         # (predicate, sign) -> probes of the body positions it can take; a
         # rule of one body literal is read as that literal twice
         self._probes: Dict[Tuple[str, bool], List[Probe]] = {}
-        # every rule once per body position: (sign, pattern of the body
-        # literal there, the rest of the body joined from its bindings)
-        self.seeded: List[Tuple[bool, Matcher, _Body]] = []
-        self.joins: List[Tuple[bool, Matcher, _Body]] = []  # of rules of 3+ body literals
+        # each rule of three or more body literals once per body position:
+        # (sign, pattern of the body literal there, the rest of the body
+        # joined from its bindings)
+        self.joins: List[Tuple[bool, Matcher, _Body]] = []
         # ground literal -> what _needs_of works out, filled on first check
         self._needs: Dict[Literal, Tuple] = {}
         for rule in self:
             literals = rule.literals
-            seeded = []
-            for i, (pattern, sign) in enumerate(literals):
-                fits = Matcher(pattern)
-                rest = _Body(literals[:i] + literals[i + 1 :], rule.constraints, tuple(fits.first))
-                seeded.append((sign, fits, rest))
-            self.seeded += seeded
             if len(literals) > 2:
-                self.joins += seeded
+                for i, (pattern, sign) in enumerate(literals):
+                    fits = Matcher(pattern)
+                    rest = _Body(literals[:i] + literals[i + 1 :], rule.constraints, tuple(fits.first))
+                    self.joins.append((sign, fits, rest))
                 continue
             bound = {t for atom, _ in literals for t in atom[1:] if is_variable(t)}
             sides = {t for c in rule.constraints for t in (c[0], c[2]) if is_variable(t)}
@@ -469,15 +474,7 @@ class CompiledRules(tuple):
         world = OpenWorld(LiteralSet(), self.statics)
         return [rule for rule in self if _Body(rule.literals, rule.constraints).fires(world)]
 
-    @property
-    def pairwise(self) -> bool:
-        """There are rules, and none has three or more body literals, so
-        every clash is between two literals (see :meth:`clashes`). Without
-        rules a clash is a complement only, which the per-literal check
-        finds at once."""
-        return bool(self) and not self.joins
-
-    def clashes(self, literal: Literal, state: LiteralSet | _Union) -> List[Literal]:
+    def clashes(self, literal: Literal, state: LiteralSet | _Union | ClosedWorld) -> List[Literal]:
         """The literals of ``state`` that clash with a ground literal: its
         complement, and each partner that completes a rule with it; a literal
         that fires a rule on its own also clashes with itself. With pairwise
@@ -531,19 +528,34 @@ class CompiledRules(tuple):
                 open_.setdefault(key, (matcher, partner_sign, {}))
         return fires, tuple(ground), tuple(open_.values())
 
+    def breaks(
+        self, literal: Literal, state: _Union | ClosedWorld, world: Optional[OpenWorld | ClosedWorld]
+    ) -> bool:
+        """Does the ground literal clash with ``state`` (see :meth:`clashes`),
+        or does the rest of a body of three or more literals hold in
+        ``world``, the same set read for a join (needed only when there are
+        such rules), with the literal placed at one of its positions? A body
+        that does not hold in a consistent set can only hold once literals
+        are added through an added one."""
+        if self.clashes(literal, state):
+            return True
+        if not self.joins:
+            return False
+        atom, sign = literal
+        return any(
+            s == sign and fits.matches(atom) and rest.fires(world, [atom[p] for p in fits.first.values()])
+            for s, fits, rest in self.joins
+        )
+
     def admits(self, base: LiteralSet, added: Dict[Atom, bool]) -> bool:
         """Does ``base`` (assumed consistent) stay consistent with ``added``,
         literals that neither contradict nor repeat it nor each other?"""
         union = _Union(base, added)
+        world = OpenWorld(union, self.statics) if self.joins else None
         for literal in added.items():
-            if any(self.clashes(literal, union)):
+            if self.breaks(literal, union, world):
                 return False
-        if not self.joins:
-            return True
-        # Seed the rest of each body with each added literal in each body
-        # position; bodies inside the consistent base cannot fire.
-        world = OpenWorld(union, self.statics)
-        return not any(_fires_through(self.joins, literal, world) for literal in added.items())
+        return True
 
 
 class _Union:
@@ -615,25 +627,16 @@ def fired_through(
     statics: StaticFacts,
     rules: Sequence[IntegrityRule],
 ) -> Set[Literal]:
-    """The ground literals through which a rule body holds in a full state
-    (a :class:`ClosedWorld`): placed at one of the body's positions, the
-    rest of the body holds there. A body that did not hold before the state
-    changed can only hold after it through a changed literal."""
+    """The ground literals, of a changed full state, through which it breaks
+    an integrity rule: each that :meth:`CompiledRules.breaks` in the state
+    read as a :class:`ClosedWorld`. A literal whose complement holds there
+    counts too. Where no literal negates a static fact, as in a scenario,
+    that happens only when two of the literals contradict each other."""
     if not rules:
         return set()
-    seeded = _compiled(rules, statics).seeded
+    rules = _compiled(rules, statics)
     world = ClosedWorld(state, statics)
-    return {literal for literal in literals if _fires_through(seeded, literal, world)}
-
-
-def _fires_through(seeded, literal: Literal, world: OpenWorld | ClosedWorld) -> bool:
-    """Does a body of ``seeded`` (see :class:`CompiledRules`) hold in the
-    world with the ground literal at the position it was compiled for?"""
-    atom, sign = literal
-    return any(
-        s == sign and fits.matches(atom) and rest.fires(world, [atom[p] for p in fits.first.values()])
-        for s, fits, rest in seeded
-    )
+    return {literal for literal in literals if rules.breaks(literal, world, world)}
 
 
 def survivors(
@@ -648,15 +651,16 @@ def survivors(
     when there are none, in the sense of :func:`consistent_with`: only rule
     matches that use the literal count. Kept in the order of ``state``.
 
-    With pairwise rules a literal survives exactly when ``base`` asserts it,
-    or it clashes with no literal of ``base`` and with no literal of each
-    post set that does not assert it (a set is only checked against the
-    literals it adds). So the check runs from the other side: each distinct
-    literal of those sets collects what it kills in ``state`` through the
-    state's per-predicate index, once. Otherwise each literal of ``state``
-    is checked with :func:`consistent_with`."""
+    Unless a rule has three or more body literals, a literal survives
+    exactly when ``base`` asserts it, or it clashes with no literal of
+    ``base`` and with no literal of each post set that does not assert it (a
+    set is only checked against the literals it adds); without rules a
+    clash is a complement. So the check runs from the other side: each
+    distinct literal of those sets collects what it kills in ``state``
+    through the state's per-predicate index, once. Otherwise each literal of
+    ``state`` is checked with :func:`consistent_with`."""
     rules = _compiled(rules, statics)
-    if rules.pairwise:
+    if not rules.joins:
         base = set(base)
         killed: Set[Literal] = set()
         for literal in base:

@@ -20,15 +20,12 @@ from .norms import (
     IDENTIFIED,
     OBLIGATION,
     PROHIBITION,
-    UNKNOWN,
     VIOLATED,
     NormInstance,
     Verdict,
-    by_name,
-    first_match,
     instance_matches,
+    judge,
     relevant_instances,
-    status_of,
 )
 from .reconstruction import (
     ReconstructionOutcome,
@@ -93,16 +90,10 @@ def check_norms(
     """
     if instances is None:
         instances = relevant_instances(scenario.norms, p, scenario.statics)
-    verdicts: List[Verdict] = []
-    complete = len(acts) == len(scenario.agents)
-    groups = by_name(acts)
-    for inst in instances:
-        witness = first_match(inst, groups)
-        status = status_of(inst, witness is not None, complete)
-        if status == UNKNOWN:
-            continue
-        culprit = witness.actor if witness else None
-        verdicts.append(Verdict(inst, status, IDENTIFIED, culprit=culprit, witness=witness))
+    verdicts = [
+        Verdict(inst, status, IDENTIFIED, culprit=witness.actor if witness else None, witness=witness)
+        for inst, status, witness in judge(instances, acts, len(scenario.agents))
+    ]
     for a, status in sorted(discovered, key=lambda x: x[0].schema):
         wanted = PROHIBITION if status == VIOLATED else OBLIGATION
         for inst in instances:
@@ -153,13 +144,15 @@ class NormMonitor:
         unknown = set(actors) - set(self.scenario.agents)
         if unknown:
             raise SensorFault(f"observed actions of unknown agents {sorted(unknown)}")
+        statics, rules = self.scenario.statics, self.scenario.rules
         for a in acts:
             self.scenario.description(a.name)
-            if not consistent_with(self.curr, a.pre, self.scenario.statics, self.scenario.rules):
-                raise SensorFault(f"observed action {a} contradicts the current state")
-        if not consistent_with(
-            self.curr, joint_pre(acts), self.scenario.statics, self.scenario.rules
-        ):
+        # A consistent joint precondition has consistent parts, so each
+        # action is checked alone only to say which one failed.
+        if not consistent_with(self.curr, joint_pre(acts), statics, rules):
+            for a in acts:
+                if not consistent_with(self.curr, a.pre, statics, rules):
+                    raise SensorFault(f"observed action {a} contradicts the current state")
             raise SensorFault("observed actions have jointly inconsistent preconditions")
         return acts
 

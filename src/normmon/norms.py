@@ -173,39 +173,27 @@ def instance_matches(inst: NormInstance, schema: Atom) -> bool:
 _schema = attrgetter("schema")
 
 
-def by_name(acts: Iterable[ActionInstance]) -> Dict[str, List[ActionInstance]]:
-    """A tick's actions grouped by name, each group in schema order, for
-    :func:`first_match`."""
+def judge(
+    instances: Iterable[NormInstance], acts: Sequence[ActionInstance], agent_count: int
+) -> List[Tuple[NormInstance, str, Optional[ActionInstance]]]:
+    """The tick's definite judgements of the instances, in their order, as
+    (instance, status, witness). An instance's witness is the action of
+    least schema that matches it; one fulfils an obligation and violates a
+    prohibition, and a complete joint action without one does the opposite.
+    An instance is otherwise unknown and left out. The actions are grouped
+    by name once, so an instance reads only its own action's group."""
     groups: Dict[str, List[ActionInstance]] = {}
     for a in sorted(acts, key=_schema):
         groups.setdefault(a.schema[0], []).append(a)
-    return groups
-
-
-def first_match(inst: NormInstance, groups: Dict[str, List[ActionInstance]]) -> Optional[ActionInstance]:
-    """The action of least schema among ``groups`` (see :func:`by_name`)
-    that matches the instance, or None."""
-    matches = inst.matcher.matches
-    for a in groups.get(inst.matcher.name, ()):
-        if matches(a.schema):
-            return a
-    return None
-
-
-def judge(inst: NormInstance, acts: Sequence[ActionInstance], agent_count: int) -> str:
-    """A matching action fulfils an obligation and violates a prohibition;
-    a complete joint action without one does the opposite. Otherwise the
-    instance stays unknown."""
-    matched = first_match(inst, by_name(acts)) is not None
-    return status_of(inst, matched, len(acts) == agent_count)
-
-
-def status_of(inst: NormInstance, matched: bool, complete: bool) -> str:
-    """:func:`judge` for a tick whose actions are known to match the
-    instance or not, and to be the complete joint action or not."""
-    if not (matched or complete):
-        return UNKNOWN
-    return FULFILLED if matched == (inst.norm.deontic == OBLIGATION) else VIOLATED
+    complete = len(acts) == agent_count
+    out = []
+    for inst in instances:
+        matches = inst.matcher.matches
+        witness = next((a for a in groups.get(inst.matcher.name, ()) if matches(a.schema)), None)
+        if witness is not None or complete:
+            status = FULFILLED if (witness is not None) == (inst.norm.deontic == OBLIGATION) else VIOLATED
+            out.append((inst, status, witness))
+    return out
 
 
 def matched_by(instances: Iterable[NormInstance], a: ActionInstance) -> bool:

@@ -662,6 +662,13 @@ def scenario_from_dict(data: Dict) -> Scenario:
         )
     except ArityError as exc:
         raise ScenarioError(str(exc)) from None
+    # A closed world reads a static fact as true whatever the state says, so
+    # a post negating one would clash with its complement in the simulator
+    # but not in the monitor's partial states.
+    for atom in sorted(a for a in statics.atoms if a[0] in scenario.dynamic_predicates):
+        raise ScenarioError(
+            f"static fact {atom_text(atom)}: an action's post or the dynamic atoms name its predicate"
+        )
     for d in scenario.non_nop_descriptions():
         unbound = _unbound_negative(d.split_pre(scenario.dynamic_predicates)[1], {d.actor_param})
         if unbound is not None:

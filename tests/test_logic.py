@@ -336,7 +336,7 @@ def per_literal_survivors(state, base, post_sets, statics, rules):
 
 class TestSurvivors:
     @given(
-        st.lists(st.sampled_from(sorted(RULE_SHAPES)), min_size=1, max_size=3, unique=True),
+        st.lists(st.sampled_from(sorted(RULE_SHAPES)), min_size=0, max_size=3, unique=True),
         st.lists(st.sampled_from([("s", "a"), ("s", "b")]), max_size=2),
         st.lists(shape_literals, max_size=10),
         st.lists(shape_literals, max_size=4),
@@ -385,7 +385,7 @@ class TestSurvivors:
         # A generator of post sets, as the reconstruction routes pass them.
         got = survivors(state, base, (p for p in post_sets), statics, compiled)
         assert got == expected
-        assert compiled.pairwise == ("three literals" not in shapes)
+        assert (bool(compiled) and not compiled.joins) == (bool(shapes) and "three literals" not in shapes)
 
     @staticmethod
     def _counting(monkeypatch):
@@ -429,6 +429,65 @@ class TestSurvivors:
         assert survivors(state, [], post_sets, NO_STATICS, compiled) == expected
         # The firing literal kills what clashes with it, on the pairwise path.
         assert len(calls) == 0
+
+
+def closed_world_fired_through(state, posts, statics, rules):
+    """Brute force: the posts that are literals of a rule body holding in
+    the closed world of a full state and the static facts, found by trying
+    every value of the body's variables among the constants in sight."""
+    true = set(state) | statics.atoms
+    constants = sorted({t for atom in true | {a for a, _ in posts} for t in atom[1:]})
+    fired = set()
+    for rule in rules:
+        names = sorted({t for atom, _ in rule.literals for t in atom[1:] if logic.is_variable(t)})
+        for values in itertools.product(constants, repeat=len(names)):
+            sigma = dict(zip(names, values))
+            body = [logic.subst_literal(sigma, literal) for literal in rule.literals]
+            if all((atom in true) == sign for atom, sign in body) and all(
+                eval_constraint(c, sigma) is True for c in rule.constraints
+            ):
+                fired.update(literal for literal in body if literal in posts)
+    return fired
+
+
+# Atoms of the dynamic predicates of RULE_SHAPES: s/1 is static.
+dynamic_shape_atoms = st.one_of(
+    st.tuples(st.just("p"), few, few),
+    st.tuples(st.just("p"), few),
+    st.tuples(st.just("q"), few),
+    st.tuples(st.just("in"), few, few),
+)
+
+
+class TestFiredThrough:
+    @given(
+        st.lists(st.sampled_from(sorted(RULE_SHAPES)), max_size=3, unique=True),
+        st.lists(st.sampled_from([("s", "a"), ("s", "b")]), max_size=2),
+        st.lists(dynamic_shape_atoms, max_size=8),
+        st.dictionaries(dynamic_shape_atoms, st.booleans(), max_size=4),
+    )
+    @settings(max_examples=500, deadline=None)
+    # Two robots' positions, one of them a post: fired through it alone.
+    @example(["office"], [], [("in", "a", "a")], {("in", "a", "b"): True})
+    # Both body literals are posts.
+    @example(["office"], [], [], {("in", "a", "a"): True, ("in", "a", "b"): True})
+    # A static partner, and a negative body literal the post makes true.
+    @example(["static partner", "negative literal"], [("s", "a")], [("q", "a"), ("p", "a", "a")],
+             {("q", "b"): True, ("p", "a", "a"): False})
+    # A three-literal body, through its negative literal.
+    @example(["three literals"], [], [("p", "a", "b"), ("q", "b"), ("in", "a", "b")], {("in", "a", "b"): False})
+    def test_agrees_with_closed_world_enumeration(self, shapes, statics, state, posts):
+        rules = [RULE_SHAPES[name] for name in shapes]
+        statics = StaticFacts(statics)
+        # The posts are applied to the state first, as the simulator does.
+        successor = set(state)
+        for atom, sign in posts.items():
+            (successor.add if sign else successor.discard)(atom)
+        posts = set(posts.items())
+        expected = closed_world_fired_through(successor, posts, statics, rules)
+        assert logic.fired_through(successor, posts, statics, rules) == expected
+        compiled = CompiledRules(rules, statics)
+        assert logic.fired_through(successor, posts, statics, compiled) == expected
 
 
 def test_monitor_records_match_the_brute_force_checker(monkeypatch):

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -16,6 +17,7 @@ from normmon.monitor import (
 )
 from normmon.logic import LiteralSet
 from normmon.norms import DISCOVERED, IDENTIFIED, VIOLATED, relevant_instances
+from normmon.scenario import scenario_from_dict, scenario_to_dict
 
 
 @pytest.fixture
@@ -170,8 +172,20 @@ class TestReconstructingTicks:
 class TestSensorFaults:
     def test_contradicting_observation_is_rejected(self, fig1, inst):
         monitor = NormMonitor(fig1, variant=FULL)
-        with pytest.raises(SensorFault):
-            monitor.advance([inst("move(r1,b,c)")])  # r1 is in a, not b
+        # r1 is in a, not b; r2's move fits.
+        message = "observed action move(r1,b,c) contradicts the current state"
+        with pytest.raises(SensorFault, match=re.escape(message)):
+            monitor.advance([inst("move(r1,b,c)"), inst("move(r2,d,e)")])
+
+    def test_jointly_inconsistent_preconditions_are_rejected(self, fig1, inst):
+        # With no two robots in one office, r1 and r2 cannot both leave a,
+        # though under empty knowledge each of them alone can.
+        data = scenario_to_dict(fig1)
+        data["rules"].append({"body": ["in(R1,O)", "in(R2,O)"], "constraints": ["R1!=R2"]})
+        monitor = NormMonitor(scenario_from_dict(data), variant=FULL, initial_knowledge=EMPTY)
+        message = "observed actions have jointly inconsistent preconditions"
+        with pytest.raises(SensorFault, match=re.escape(message)):
+            monitor.advance([inst("move(r1,a,b)"), inst("move(r2,a,e)")])
 
     def test_duplicate_actor_is_rejected(self, fig1, inst):
         monitor = NormMonitor(fig1, variant=FULL)

@@ -74,18 +74,24 @@ class TestInstantiation:
         assert collision_instances(fig1, [(("in", "r1", "a"), False)]) == []
 
 
+def judged_status(instance, acts, agent_count):
+    """The instance's status under :func:`judge`: unknown when left out."""
+    judged = judge([instance], acts, agent_count)
+    return judged[0][1] if judged else UNKNOWN
+
+
 class TestJudging:
     def test_prohibition_violated_by_matching_action(self, fig1, inst):
         insts = collision_instances(fig1, [(("in", "r1", "a"), True)])
         (instance,) = insts
         acts = [inst("move(r3,e,a)")]
-        assert judge(instance, acts, agent_count=3) == VIOLATED
+        assert judge(insts, acts, agent_count=3) == [(instance, VIOLATED, acts[0])]
 
     def test_prohibition_unknown_under_partial_joint_action(self, fig1, inst):
         insts = collision_instances(fig1, [(("in", "r1", "a"), True)])
-        (instance,) = insts
         acts = [inst("move(r2,d,e)")]
-        assert judge(instance, acts, agent_count=3) == UNKNOWN
+        # An unknown instance yields no judgement.
+        assert judge(insts, acts, agent_count=3) == []
 
     def test_prohibition_fulfilled_when_joint_action_complete(self, fig1, inst):
         insts = collision_instances(fig1, [(("in", "r1", "a"), True)])
@@ -95,7 +101,7 @@ class TestJudging:
             inst("move(r2,d,e)"),
             inst("move(r3,e,f)"),
         ]
-        assert judge(instance, acts, agent_count=3) == FULFILLED
+        assert judge(insts, acts, agent_count=3) == [(instance, FULFILLED, None)]
 
     @given(st.integers(0, 3), st.integers(1, 3))
     @settings(max_examples=50)
@@ -123,9 +129,13 @@ class TestJudging:
             mirrored = dataclasses.replace(
                 instance, norm=dataclasses.replace(instance.norm, deontic=OBLIGATION)
             )
-            p_verdict = judge(instance, acts, agent_count)
-            o_verdict = judge(mirrored, acts, agent_count)
+            p_verdict = judged_status(instance, acts, agent_count)
+            o_verdict = judged_status(mirrored, acts, agent_count)
             assert o_verdict == swap[p_verdict]
+        # Judged together, the instances keep their order and each its status.
+        together = [(i, s) for i, s, _ in judge(insts, acts, agent_count)]
+        alone = [(i, judged_status(i, acts, agent_count)) for i in insts]
+        assert together == [(i, s) for i, s in alone if s != UNKNOWN]
 
     def test_witness_and_offender_are_the_match_of_least_schema(self, fig1, inst):
         # Both moves into a match the instance for a (r1 is there); given in

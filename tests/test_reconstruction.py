@@ -194,7 +194,7 @@ class TestPairwiseCore:
                 a for a in scenario.ground_actions(agent) if action_fits(a, i, f, scenario)
             ]
             assert row == reference
-            calls.append((scenario.rules.pairwise, len(row)))
+            calls.append((bool(scenario.rules) and not scenario.rules.joins, len(row)))
             return row
 
         monkeypatch.setattr(reconstruction, "candidate_actions", checked)
@@ -350,9 +350,10 @@ class TestRowKernel:
 
     def test_scenarios_take_the_paths_they_stand_for(self, row_scenarios):
         scenarios = {name: scenario for name, (_, scenario) in row_scenarios.items()}
-        assert scenarios["office"].rules.pairwise and scenarios["office"].decomposable
+        office, crowded = scenarios["office"].rules, scenarios["crowded"].rules
+        assert bool(office) and not office.joins and scenarios["office"].decomposable
         assert not scenarios["random"].rules
-        assert scenarios["crowded"].rules.pairwise and not scenarios["crowded"].decomposable
+        assert bool(crowded) and not crowded.joins and not scenarios["crowded"].decomposable
         assert scenarios["three-literal"].rules.joins
 
 

@@ -104,6 +104,15 @@ class TestRoundTrip:
         data["rules"][-1]["constraints"] = ["R=O"]
         scenario_from_dict(data)
 
+    def test_static_fact_of_a_dynamic_predicate_rejected(self, fig1):
+        # A closed world reads a static fact as true whatever the state
+        # says: a post negating one would clash in the simulator alone.
+        for key, added in (("statics", "in(r3,f)"), ("dynamic_atoms", "robot(r1)")):
+            data = scenario_to_dict(fig1)
+            data[key].append(added)
+            with pytest.raises(ScenarioError, match=re.escape(f"static fact {added}: ")):
+                scenario_from_dict(data)
+
     def test_norm_the_judge_cannot_decide_rejected(self, fig1):
         # The closed-world judge needs each negative literal of a condition
         # ground once the positive ones are matched.
