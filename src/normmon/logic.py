@@ -14,7 +14,7 @@ forward chaining is performed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Collection, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Collection, Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 Atom = Tuple[str, ...]
 Literal = Tuple[Atom, bool]
@@ -184,12 +184,13 @@ class LiteralSet:
     def add(self, literal: Literal) -> bool:
         """Insert a literal; returns True if it was not present before."""
         atom, sign = literal
-        if self.signs.get(atom) == sign and atom in self.signs:
+        prev = self.signs.get(atom)
+        if prev == sign:
             return False
         # A complementary assertion is recorded as well; consistency checks
         # will catch the clash before the set is ever used this way.
-        if atom in self.signs and self.signs[atom] != sign:
-            self._by_pred[(atom[0], self.signs[atom])].discard(atom)
+        if prev is not None:
+            self._by_pred[(atom[0], prev)].discard(atom)
         self.signs[atom] = sign
         self._by_pred.setdefault((atom[0], sign), set()).add(atom)
         return True
@@ -218,7 +219,7 @@ class LiteralSet:
         return new
 
     def __contains__(self, literal: Literal) -> bool:
-        return self.signs.get(literal[0]) == literal[1] and literal[0] in self.signs
+        return self.signs.get(literal[0]) == literal[1]
 
     def __len__(self) -> int:
         return len(self.signs)
@@ -229,9 +230,9 @@ class LiteralSet:
         for lit in literals:
             atom, sign = lit
             prev = self.signs.get(atom)
-            if atom in self.signs and prev == sign:
+            if prev == sign:
                 continue
-            if atom in self.signs and prev != sign:
+            if prev is not None:
                 # Caller must have checked consistency first; keep both is
                 # impossible in a dict, so this is a hard error.
                 raise ValueError(f"assume would flip asserted literal {atom}")
@@ -422,6 +423,20 @@ class Probe:
         return Matcher(pattern, residual), pattern, sign
 
 
+class _Filled(dict):
+    """A dict that fills a missing key with ``fill(key)`` on lookup."""
+
+    __slots__ = ("fill",)
+
+    def __init__(self, fill: Callable):
+        super().__init__()
+        self.fill = fill
+
+    def __missing__(self, key):
+        value = self[key] = self.fill(key)
+        return value
+
+
 class CompiledRules(tuple):
     """Integrity rules compiled against one set of static facts; a scenario
     compiles its rules once.
@@ -435,6 +450,16 @@ class CompiledRules(tuple):
     lookups against the set's per-predicate index. A rule with more body
     literals is compiled once per body position, as the rest of its body
     joined from a literal placed there (see :class:`Plan`).
+
+    The clash relation is also kept as a literal index. Each ground literal
+    gets a bit (``bits``) the first time it is looked up, and its clash
+    neighbourhood (``near``) is an int: the bits of the literals seen so far
+    that :meth:`clashes` returns for it, its own among them when it fires a
+    rule alone. The relation is symmetric, so a new literal also sets its
+    bit in the neighbourhoods of those it clashes with: a neighbourhood is
+    complete over the literals seen, whichever came first. An action's
+    postconditions, a frozenset, keep their :meth:`kill` mask (``kills``)
+    until the index grows.
     """
 
     def __new__(cls, rules: Iterable[IntegrityRule], statics: StaticFacts):
@@ -449,6 +474,13 @@ class CompiledRules(tuple):
         self.joins: List[Tuple[bool, Matcher, _Body]] = []
         # ground literal -> what _needs_of works out, filled on first check
         self._needs: Dict[Literal, Tuple] = {}
+        # the literal index; the literals seen, as one set per sign, since
+        # both signs of an atom can turn up
+        self.bits: Dict[Literal, int] = _Filled(self._register)
+        self.near: Dict[Literal, int] = {}
+        self._seen = (LiteralSet(), LiteralSet())
+        # an action's post set -> its kill mask, until the index grows
+        self.kills: Dict[FrozenSet[Literal], int] = _Filled(self.kill)
         for rule in self:
             literals = rule.literals
             if len(literals) > 2:
@@ -527,6 +559,41 @@ class CompiledRules(tuple):
                 key = (matcher.name, matcher.length, matcher.checks, partner_sign)
                 open_.setdefault(key, (matcher, partner_sign, {}))
         return fires, tuple(ground), tuple(open_.values())
+
+    def _register(self, literal: Literal) -> int:
+        """The bit of a literal seen for the first time; its neighbourhood
+        and those of the literals it clashes with are filled in."""
+        bit = 1 << len(self.bits)
+        near = self.near
+        hood = 0
+        for seen in self._seen:
+            for other in self.clashes(literal, seen):
+                if other == literal:  # it fires a rule alone
+                    hood |= bit
+                else:
+                    hood |= self.bits[other]
+                    near[other] |= bit
+        near[literal] = hood
+        self._seen[literal[1]].add(literal)
+        self.kills.clear()
+        return bit
+
+    def masks(self, literals: Iterable[Literal]) -> Tuple[int, int]:
+        """The bits of some literals and the OR of their neighbourhoods.
+        What a neighbourhood says about a literal is complete only once that
+        literal is seen, so look up the literals to be judged first."""
+        bits, near = self.bits, self.near
+        mine = hood = 0
+        for literal in literals:
+            mine |= bits[literal]
+            hood |= near[literal]
+        return mine, hood
+
+    def kill(self, literals: Iterable[Literal]) -> int:
+        """The literals seen that clash with one of ``literals`` without
+        being one, as bits."""
+        mine, hood = self.masks(literals)
+        return hood & ~mine
 
     def breaks(
         self, literal: Literal, state: _Union | ClosedWorld, world: Optional[OpenWorld | ClosedWorld]
@@ -642,7 +709,7 @@ def fired_through(
 def survivors(
     state: LiteralSet,
     base: Collection[Literal],
-    post_sets: Iterable[Iterable[Literal]],
+    post_sets: Iterable[Collection[Literal]],
     statics: StaticFacts,
     rules: Sequence[IntegrityRule],
 ) -> List[Literal]:
@@ -655,34 +722,25 @@ def survivors(
     exactly when ``base`` asserts it, or it clashes with no literal of
     ``base`` and with no literal of each post set that does not assert it (a
     set is only checked against the literals it adds); without rules a
-    clash is a complement. So the check runs from the other side: each
-    distinct literal of those sets collects what it kills in ``state``
-    through the state's per-predicate index, once. Otherwise each literal of
-    ``state`` is checked with :func:`consistent_with`."""
+    clash is a complement. So the check reads the rules' literal index (see
+    :class:`CompiledRules`): a post set P kills the state literals in its
+    neighbourhood less its own bits. An action's postconditions, a
+    frozenset, keep that mask; any other set is looked up literal by
+    literal. Otherwise each literal of ``state`` is checked with
+    :func:`consistent_with`."""
     rules = _compiled(rules, statics)
     if not rules.joins:
-        base = set(base)
-        killed: Set[Literal] = set()
-        for literal in base:
-            killed.update(rules.clashes(literal, state))
-        walked = set(base)
-        # post literal -> what it kills that the post set it came in asserts
-        spared: Dict[Literal, Set[Literal]] = {}
+        literals = list(state.signs.items())
+        if not literals:
+            return literals
+        # the state's literals are seen before any neighbourhood is read
+        bits = list(map(rules.bits.__getitem__, literals))
+        asserted, killed = rules.masks(base)
+        kills = rules.kills
         for post in post_sets:
-            post = set(post)
-            for literal in post - walked:
-                hit = rules.clashes(literal, state)
-                if not hit:
-                    continue
-                hit = set(hit)
-                killed |= hit - post
-                if not hit.isdisjoint(post):
-                    spared[literal] = hit & post
-            walked |= post
-            if spared:
-                for literal in post & spared.keys():
-                    killed |= spared[literal] - post
-        return [l for l in state.literals() if l in base or l not in killed]
+            killed |= kills[post] if post.__class__ is frozenset else rules.kill(post)
+        killed &= ~asserted
+        return [l for l, bit in zip(literals, bits) if not bit & killed]
     known = LiteralSet(base)
     kept = [l for l in state.literals() if consistent_with(known, [l], statics, rules)]
     for post in post_sets:

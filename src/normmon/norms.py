@@ -44,6 +44,11 @@ class Norm:
     # The instance of each (action, residuals) key, built on first match and
     # shared by every tick and state that match it again.
     instances: Dict[Tuple, "NormInstance"] = field(default_factory=dict, init=False, compare=False, repr=False)
+    # The instance of each row of the condition's plan, None where a
+    # constraint is false under it.
+    by_row: Dict[Tuple[str, ...], Optional["NormInstance"]] = field(
+        default_factory=dict, init=False, compare=False, repr=False
+    )
 
     def __post_init__(self):
         if self.deontic not in (OBLIGATION, PROHIBITION):
@@ -88,6 +93,16 @@ class Norm:
         if inst is None:
             inst = self.instances[key] = NormInstance(self, self.id, *key)
         return inst
+
+    def row_instance(self, row: Tuple[str, ...]) -> Optional["NormInstance"]:
+        """The instance of a match of the condition, or None when a
+        constraint is false under it; worked out once per row."""
+        try:
+            return self.by_row[row]
+        except KeyError:
+            key = self.instance_key(row)
+            inst = self.by_row[row] = None if key is None else self.instance(key)
+            return inst
 
     @cached_property
     def ground_instance(self) -> Optional["NormInstance"]:
@@ -142,8 +157,9 @@ def _instances(norms: Sequence[Norm], world: OpenWorld | ClosedWorld) -> List[No
     """The instances of each norm whose condition matches in the world. A
     constraint false under the match drops it; one left unbound stays on the
     instance as a residual. Matches giving one action and the same residuals
-    make one instance. A condition without variables is decided by one
-    membership test per literal."""
+    make one instance, which the norm looks up by the match's row. A
+    condition without variables is decided by one membership test per
+    literal."""
     out: List[NormInstance] = []
     holds = world.holds
     for norm in norms:
@@ -157,12 +173,10 @@ def _instances(norms: Sequence[Norm], world: OpenWorld | ClosedWorld) -> List[No
                 else:
                     out.append(inst)
             continue
-        seen = set()
-        for row in norm.plan.rows(world):
-            key = norm.instance_key(row)
-            if key is not None and key not in seen:
-                seen.add(key)
-                out.append(norm.instance(key))
+        # instances in the order of their first match
+        found = dict.fromkeys(norm.row_instance(tuple(row)) for row in norm.plan.rows(world))
+        found.pop(None, None)
+        out.extend(found)
     return out
 
 

@@ -268,11 +268,12 @@ class ActionBits:
     exactly when no literal of its pre clashes with a literal of i and none
     of its post with one of f: a clash involves two literals only. So a
     literal m of i rules out a fixed set of actions, those whose pre holds a
-    literal l with ``clashes(l, {m})`` non-empty, and likewise a literal of
-    f on the post side. That set, a mask, is worked out the first time m is
-    seen on its side and kept; a row is then one OR per state literal. A
-    rule of three or more body literals can rule out more, so there the
-    actions the masks leave still need a check each."""
+    literal in m's clash neighbourhood (``CompiledRules.near``), and likewise
+    a literal of f on the post side. That set, a mask, is read off the
+    neighbourhood the first time m is seen on its side and kept; a row is
+    then one OR per state literal. A rule of three or more body literals can
+    rule out more, so there the actions the masks leave still need a check
+    each."""
 
     __slots__ = ("actions", "bits", "full", "_bit", "_rules", "_pre", "_post", "_pre_kills", "_post_kills")
 
@@ -283,13 +284,16 @@ class ActionBits:
         self._bit = dict(zip(actions, self.bits))
         self._rules = rules
         # literal -> the mask of the actions whose pre (post) holds it
-        self._pre: Dict[Literal, int] = {}
-        self._post: Dict[Literal, int] = {}
+        pre: Dict[Literal, int] = {}
+        post: Dict[Literal, int] = {}
         for bit, a in zip(self.bits, actions):
             for literal in a.pre:
-                self._pre[literal] = self._pre.get(literal, 0) | bit
+                pre[literal] = pre.get(literal, 0) | bit
             for literal in a.post:
-                self._post[literal] = self._post.get(literal, 0) | bit
+                post[literal] = post.get(literal, 0) | bit
+        # per side: each literal's bit in the rules' literal index, and its mask
+        self._pre = [(rules.bits[l], mask) for l, mask in pre.items()]
+        self._post = [(rules.bits[l], mask) for l, mask in post.items()]
         # state literal -> the mask of the actions it rules out, filled on
         # first sight
         self._pre_kills: Dict[Literal, int] = {}
@@ -300,17 +304,18 @@ class ActionBits:
         literal that clashes with f."""
         return self._kills(i, self._pre, self._pre_kills) | self._kills(f, self._post, self._post_kills)
 
-    def _kills(self, state: LiteralSet, masks: Dict[Literal, int], table: Dict[Literal, int]) -> int:
-        """The OR of what the state's literals rule out on one side: ``masks``
-        maps the side's literals to their actions, ``table`` keeps each state
-        literal's mask."""
+    def _kills(self, state: LiteralSet, side: List[Tuple[int, int]], table: Dict[Literal, int]) -> int:
+        """The OR of what the state's literals rule out on one side: ``side``
+        holds the bits of its literals and their actions, ``table`` keeps
+        each state literal's mask."""
         bad = 0
         for m in state.signs.items():
             kill = table.get(m)
             if kill is None:
-                kill, alone = 0, LiteralSet([m])
-                for literal, mask in masks.items():
-                    if self._rules.clashes(literal, alone):
+                near = self._rules.masks((m,))[1]
+                kill = 0
+                for bit, mask in side:
+                    if near & bit:
                         kill |= mask
                 table[m] = kill
             bad |= kill

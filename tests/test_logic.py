@@ -1,6 +1,7 @@
 import itertools
 import random
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -184,6 +185,20 @@ shape_atoms = st.one_of(
     st.tuples(st.just("s"), few),
 )
 shape_literals = st.tuples(shape_atoms, st.booleans())
+
+PAIRWISE_SHAPES = sorted(name for name in RULE_SHAPES if name != "three literals")
+# As shape_literals, with a third constant, z9, that turns up rarely, so
+# that some literals are first seen late in a sequence of calls.
+late = st.sampled_from(["a", "b", "a", "b", "z9"])
+late_literals = st.tuples(
+    st.one_of(
+        st.tuples(st.just("p"), late, late),
+        st.tuples(st.just("q"), late),
+        st.tuples(st.just("in"), late, late),
+        st.tuples(st.just("s"), late),
+    ),
+    st.booleans(),
+)
 
 
 class TestConsistency:
@@ -429,6 +444,59 @@ class TestSurvivors:
         assert survivors(state, [], post_sets, NO_STATICS, compiled) == expected
         # The firing literal kills what clashes with it, on the pairwise path.
         assert len(calls) == 0
+
+    @given(
+        st.lists(st.sampled_from(PAIRWISE_SHAPES), max_size=3, unique=True),
+        st.lists(st.sampled_from([("s", "a"), ("s", "b")]), max_size=2),
+        st.lists(
+            st.tuples(
+                st.lists(late_literals, max_size=8),
+                st.lists(late_literals, max_size=3),
+                st.lists(st.tuples(st.lists(late_literals, max_size=3), st.booleans()), max_size=3),
+            ),
+            min_size=1,
+            max_size=5,
+        ),
+    )
+    @settings(max_examples=300, deadline=None)
+    # in(a,b) is first seen in the state of the second call, after the post
+    # set that kills it had its kill mask kept.
+    @example(
+        ["office"],
+        [],
+        [
+            ([], [], [([(("in", "a", "a"), True)], True)]),
+            ([(("in", "a", "b"), True)], [], [([(("in", "a", "a"), True)], True)]),
+        ],
+    )
+    def test_one_index_serves_a_sequence_of_calls(self, shapes, statics, calls):
+        rules = [RULE_SHAPES[name] for name in shapes]
+        statics = StaticFacts(statics)
+        compiled = CompiledRules(rules, statics)
+        for state_literals, base_literals, posts in calls:
+            state = LiteralSet(_consistent_part(state_literals, statics, rules))
+            base = _consistent_part(base_literals, statics, rules)
+            # An action's post set is a frozenset, whose kill mask is kept; a
+            # joint one is a set, looked up literal by literal.
+            post_sets = [
+                (frozenset if kept else set)(_with_firing(post, statics, rules, base))
+                for post, kept in posts
+            ]
+            expected = per_literal_survivors(state, base, post_sets, statics, compiled)
+            assert survivors(state, base, post_sets, statics, compiled) == expected
+
+    @pytest.mark.parametrize("rules", [[RULE], []], ids=["office rule", "no rules"])
+    def test_literals_seen_before_make_no_clashes_call(self, rules, monkeypatch):
+        compiled = CompiledRules(rules, NO_STATICS)
+        state = LiteralSet([(("in", "r", "a"), True), (("in", "s", "a"), True), (("in", "s", "b"), False)])
+        base = {(("in", "r", "b"), False)}
+        post_sets = [frozenset([(("in", "s", "b"), True)]), {(("in", "r", "c"), True)}]
+        first = survivors(state, base, post_sets, NO_STATICS, compiled)
+        calls = []
+        clashes = CompiledRules.clashes
+        monkeypatch.setattr(CompiledRules, "clashes", lambda self, *a: calls.append(a) or clashes(self, *a))
+        assert survivors(state, base, post_sets, NO_STATICS, compiled) == first
+        assert calls == []
 
 
 def closed_world_fired_through(state, posts, statics, rules):
