@@ -2,22 +2,24 @@
 # Alternating perfbench pairs of two source trees, the protocol for a speed
 # claim.
 #
-# Usage: scripts/perf_pairs.sh PARENT_TREE CHANGE_TREE WORKLOAD N
+# Usage: scripts/perf_pairs.sh PARENT_TREE CHANGE_TREE WORKLOAD N [SEED]
 #
 # Each tree is a checkout of this repository (for example the parent commit,
 # made with `git archive`, and the working tree). In each tree the script
-# runs `perfbench/run.py --workload WORKLOAD --seed 1 --seconds 20 --trace 0`
+# runs `perfbench/run.py --workload WORKLOAD --seed SEED --seconds 20 --trace 0`
 # N times, the two trees in turn: pair k runs the parent first when k is odd
-# and the change first when it is even. It prints, for each end-to-end
-# metric, each side's median with its quartiles, and in how many pairs the
-# change read lower, higher and the same. A run that is not correct or has
-# failed calls is named, and makes the script exit non-zero.
+# and the change first when it is even. SEED defaults to 1; a claim should
+# also hold on a seed not used while the change was written. The script
+# prints, for each end-to-end metric, each side's median with its quartiles,
+# and in how many pairs the change read lower, higher and the same. A run
+# that is not correct or has failed calls is named, and makes the script
+# exit non-zero.
 set -eu
-if [ $# -ne 4 ]; then
-    echo "usage: $0 PARENT_TREE CHANGE_TREE WORKLOAD N" >&2
+if [ $# -ne 4 ] && [ $# -ne 5 ]; then
+    echo "usage: $0 PARENT_TREE CHANGE_TREE WORKLOAD N [SEED]" >&2
     exit 2
 fi
-parent=$1 change=$2 workload=$3 n=$4
+parent=$1 change=$2 workload=$3 n=$4 seed=${5:-1}
 results=$(mktemp -d)
 trap 'rm -rf "$results"' EXIT
 
@@ -27,19 +29,19 @@ while [ "$k" -le "$n" ]; do
     for side in $order; do
         if [ "$side" = parent ]; then tree=$parent; else tree=$change; fi
         # The last line of a run is its result; a failed check still prints it.
-        (cd "$tree" && python3 perfbench/run.py --workload "$workload" --seed 1 \
+        (cd "$tree" && python3 perfbench/run.py --workload "$workload" --seed "$seed" \
             --seconds 20 --trace 0 || true) | tail -n 1 > "$results/$side.$k.json"
     done
     k=$((k + 1))
 done
 
-python3 - "$results" "$n" "$workload" <<'EOF'
+python3 - "$results" "$n" "$workload" "$seed" <<'EOF'
 import json
 import statistics
 import sys
 from pathlib import Path
 
-results, n, workload = Path(sys.argv[1]), int(sys.argv[2]), sys.argv[3]
+results, n, workload, seed = Path(sys.argv[1]), int(sys.argv[2]), sys.argv[3], sys.argv[4]
 runs = {
     side: [json.loads((results / f"{side}.{k}.json").read_text()) for k in range(1, n + 1)]
     for side in ("parent", "change")
@@ -53,7 +55,7 @@ def quartiles(values):
     return q1, median, q3
 
 
-print(f"{workload}: {n} pairs, medians with [first quartile, third quartile]")
+print(f"{workload}, seed {seed}: {n} pairs, medians with [first quartile, third quartile]")
 print(f"{'metric':40s} {'parent':>28s} {'change':>28s}  change lower/higher/same")
 for name, first in runs["parent"][0]["metrics"].items():
     a = [run["metrics"][name]["value"] for run in runs["parent"]]

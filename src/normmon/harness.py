@@ -279,9 +279,25 @@ def observe(
 
 @dataclass
 class GroundTruthLog:
+    """One ground-truth run. The omniscient judge's events are worked out on
+    the first ``events`` call for a scenario and kept, so every monitor
+    scored against the run reads one judgement; change no tick after that."""
+
     states: List[Set[Atom]]  # s_0 .. s_T
     executed: List[List[ActionInstance]]  # per tick
     observed: List[List[ActionInstance]]  # per tick, subset of executed
+    # The scenario last judged for, by identity, and its events.
+    _judged: Optional[Tuple[Scenario, Tuple[GroundTruthEvent, ...]]] = field(
+        default=None, init=False, compare=False, repr=False
+    )
+
+    def events(self, scenario: Scenario) -> Tuple[GroundTruthEvent, ...]:
+        """``oracle_events(scenario, self)``, judged again only for a
+        different scenario object than the last."""
+        judged = self._judged
+        if judged is None or judged[0] is not scenario:
+            judged = self._judged = (scenario, tuple(oracle_events(scenario, self)))
+        return judged[1]
 
 
 def simulate(scenario: Scenario, steps: int, rng: random.Random) -> GroundTruthLog:
@@ -311,7 +327,8 @@ class GroundTruthEvent:
 def oracle_events(scenario: Scenario, log: GroundTruthLog) -> List[GroundTruthEvent]:
     """Definite verdicts of an omniscient judge over the full run. An
     event's offender is the actor of the instance's matching executed action
-    of least schema."""
+    of least schema. Judged afresh on every call; scoring reads the events
+    the log keeps instead."""
     events = []
     for t, executed in enumerate(log.executed):
         instances = relevant_instances_closed(scenario.norms, log.states[t], scenario.statics)
@@ -351,9 +368,10 @@ def score_run(
     Identified verdicts are credited on exact (tick, norm, action, status)
     key equality. A discovered verdict claims one not-yet-credited event of
     the same tick and status whose offender is the verdict's culprit, so
-    identified + discovered never exceeds the ground-truth total.
+    identified + discovered never exceeds the ground-truth total. The
+    oracle's events are those the log keeps (``GroundTruthLog.events``).
     """
-    return _score(oracle_events(scenario, log), records)
+    return _score(log.events(scenario), records)
 
 
 def _score(events: Sequence[GroundTruthEvent], records: Sequence[TickRecord]) -> RunScore:
@@ -435,9 +453,8 @@ def run_experiment(cfg, variants: Sequence[str], generator) -> Metrics:
         rng = random.Random(repetition_seed(cfg.seed, idx))
         scenario = generator(cfg, rng)
         log = simulate(scenario, cfg.steps, rng)
-        events = oracle_events(scenario, log)
         for variant in variants:
             records = run_monitor(scenario, log, variant)
-            metrics.add(variant, _score(events, records))
+            metrics.add(variant, score_run(scenario, log, records))
         metrics.runs += 1
     return metrics

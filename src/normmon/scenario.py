@@ -349,13 +349,17 @@ class Scenario:
     # Per description: its static preconditions as a join from the actor,
     # and the variables grounding leaves free.
     _groundings: Dict[str, Tuple[Plan, Tuple[str, ...]]] = field(init=False, compare=False, repr=False)
+    # The NOP description, if any.
+    _nop: Optional[ActionDescription] = field(init=False, compare=False, repr=False)
     # Filled on first use, per agent or per ground schema.
-    _nops: Dict[str, ActionInstance] = field(default_factory=dict, init=False, compare=False, repr=False)
+    _instances: Dict[Atom, ActionInstance] = field(default_factory=dict, init=False, compare=False, repr=False)
     _ground: Dict[str, Tuple[ActionInstance, ...]] = field(default_factory=dict, init=False, compare=False, repr=False)
     _coherent: Dict[str, Tuple[ActionInstance, ...]] = field(default_factory=dict, init=False, compare=False, repr=False)
     _pres: Dict[str, Tuple] = field(default_factory=dict, init=False, compare=False, repr=False)
     _bits: Dict[str, ActionBits] = field(default_factory=dict, init=False, compare=False, repr=False)
     _watched: Dict[Atom, bool] = field(default_factory=dict, init=False, compare=False, repr=False)
+    # ``scenario_hash``, on first use.
+    _hash: Optional[str] = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         self._check_arities()
@@ -365,6 +369,7 @@ class Scenario:
         self.dynamic_predicates = frozenset(a[0] for a in posts + list(self.dynamic_atoms))
         self.cameras = tuple(Matcher(parse_atom(c)[0]) for c in self.observability.get("cameras", ()))
         self._groundings = {d.name: self._grounding(d) for d in self.non_nop_descriptions()}
+        self._nop = next((d for d in self.descriptions if d.is_nop), None)
 
     def _grounding(self, d: ActionDescription) -> Tuple[Plan, Tuple[str, ...]]:
         """The description's static preconditions joined from its actor, and
@@ -383,20 +388,22 @@ class Scenario:
             raise ScenarioError(f"unknown action description {name!r}") from None
 
     def instance_from_schema(self, schema: Atom) -> ActionInstance:
-        d = self.description(schema[0])
-        if len(schema) - 1 != len(d.params):
-            raise ArityError(f"schema {schema} does not fit params of {d.name}")
-        sigma = dict(zip(d.params, schema[1:]))
-        return ground_instance(d, sigma, self.dynamic_predicates)
+        """The ground instance of a schema, built on first use and kept per
+        schema. A schema that grounds no instance raises on every call."""
+        found = self._instances.get(schema)
+        if found is None:
+            d = self.description(schema[0])
+            if len(schema) - 1 != len(d.params):
+                raise ArityError(f"schema {schema} does not fit params of {d.name}")
+            sigma = dict(zip(d.params, schema[1:]))
+            found = self._instances[schema] = ground_instance(d, sigma, self.dynamic_predicates)
+        return found
 
     def nop_instance(self, agent: str) -> ActionInstance:
-        """The agent's NOP, built on first use and kept."""
-        if agent not in self._nops:
-            d = self.nop_description()
-            if d is None:
-                raise ValueError("scenario lacks a NOP action; an agent is stuck")
-            self._nops[agent] = self.instance_from_schema((d.name, agent))
-        return self._nops[agent]
+        """The agent's NOP, from the same table as ``instance_from_schema``."""
+        if self._nop is None:
+            raise ValueError("scenario lacks a NOP action; an agent is stuck")
+        return self.instance_from_schema((self._nop.name, agent))
 
     def constants(self) -> Tuple[str, ...]:
         if not hasattr(self, "_constants"):
@@ -518,12 +525,6 @@ class Scenario:
 
     def non_nop_descriptions(self) -> List[ActionDescription]:
         return [d for d in self.descriptions if not d.is_nop]
-
-    def nop_description(self) -> Optional[ActionDescription]:
-        for d in self.descriptions:
-            if d.is_nop:
-                return d
-        return None
 
     def _check_arities(self) -> None:
         arity: Dict[str, int] = {}
@@ -763,4 +764,7 @@ def load_scenario(path: str) -> Scenario:
 
 
 def scenario_hash(s: Scenario) -> str:
-    return hashlib.sha256(dump_scenario(s).encode()).hexdigest()
+    """The SHA-256 of the scenario's JSON form, worked out once and kept."""
+    if s._hash is None:
+        s._hash = hashlib.sha256(dump_scenario(s).encode()).hexdigest()
+    return s._hash

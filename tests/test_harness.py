@@ -3,9 +3,10 @@ import sys
 
 import pytest
 
-from normmon import logic
+from normmon import logic, norms
 from normmon.harness import (
     CaseStudyConfig,
+    _score,
     RandomConfig,
     applicable_actions,
     generate_case_study,
@@ -23,6 +24,16 @@ from normmon.norms import FULFILLED, VIOLATED
 from normmon.scenario import scenario_from_dict, scenario_hash, scenario_to_dict
 
 from conftest import crowded_office, generated_scenarios
+
+
+def count_calls(monkeypatch, original):
+    """Route every normmon module's reference to ``original`` through a
+    spy; the returned list grows by each call's arguments."""
+    calls = []
+    for name, module in list(sys.modules.items()):
+        if name.startswith("normmon") and getattr(module, original.__name__, None) is original:
+            monkeypatch.setattr(module, original.__name__, lambda *a: calls.append(a) or original(*a))
+    return calls
 
 
 def case_study(seed=0, **kwargs):
@@ -156,6 +167,32 @@ class TestScoring:
             assert s.discovered_violations == s.discovered_fulfilments == 0
 
 
+class TestOneJudgementPerLog:
+    VARIANTS = ("traditional", "full", "approximate")
+
+    def test_three_monitors_share_one_judgement(self, monkeypatch):
+        _, sc, rng = case_study(seed=5, camera_ratio=0.4)
+        log = simulate(sc, 30, rng)
+        records = {v: run_monitor(sc, log, v) for v in self.VARIANTS}
+        calls = count_calls(monkeypatch, norms.relevant_instances_closed)
+        scores = {v: score_run(sc, log, recs) for v, recs in records.items()}
+        assert len(calls) == len(log.executed) == 30
+        for variant, recs in records.items():
+            assert scores[variant] == _score(oracle_events(sc, log), recs)
+        assert any(s.gt_violations for s in scores.values())
+
+    def test_another_scenario_object_gets_its_own_judgement(self, monkeypatch):
+        _, sc, rng = case_study(seed=5, camera_ratio=0.4)
+        log = simulate(sc, 30, rng)
+        records = run_monitor(sc, log, "approximate")
+        calls = count_calls(monkeypatch, norms.relevant_instances_closed)
+        first = score_run(sc, log, records)
+        twin = scenario_from_dict(scenario_to_dict(sc))
+        assert score_run(twin, log, records) == first
+        assert len(calls) == 2 * len(log.executed)
+        assert log.events(twin) == tuple(oracle_events(twin, log))
+
+
 class TestExperiment:
     def test_metrics_are_deterministic(self):
         cfg = CaseStudyConfig(camera_ratio=0.5, steps=15, repetitions=4, seed=11)
@@ -187,11 +224,7 @@ class TestMatchingSkipsUnify:
             _, scenario, _ = case_study(seed=2, camera_ratio=0.5)
         else:
             scenario = generate_random(RandomConfig(agents=4), random.Random(2))
-        calls = []
-        original = logic.unify
-        for name, module in list(sys.modules.items()):
-            if name.startswith("normmon") and getattr(module, "unify", None) is original:
-                monkeypatch.setattr(module, "unify", lambda *a: calls.append(a) or original(*a))
+        calls = count_calls(monkeypatch, logic.unify)
         for agent in scenario.agents:
             scenario.ground_actions(agent)
         log = simulate(scenario, 30, random.Random(5))

@@ -15,14 +15,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import normmon
+from normmon.actions import ground_instance
 from normmon.harness import CaseStudyConfig, RandomConfig, generate_case_study, generate_random
-from normmon.logic import eval_constraint, is_variable, subst_atom
+from normmon.logic import ArityError, eval_constraint, is_variable, subst_atom
 from normmon.scenario import (
     SCENARIO_SCHEMA,
     ScenarioError,
     compile_schema,
     dump_scenario,
     fits_schema,
+    load_scenario,
     parse_atom,
     parse_constraint,
     parse_literal,
@@ -31,7 +33,9 @@ from normmon.scenario import (
     scenario_to_dict,
 )
 
-from conftest import FIG1, generated_scenarios
+from normmon.trace import read_trace, replay_trace
+
+from conftest import FIG1, RUNNING_EXAMPLE_TRACE, generated_scenarios
 
 
 class TestParsing:
@@ -181,6 +185,7 @@ class TestRoundTrip:
 
     def test_dict_is_a_copy(self, fig1):
         before = scenario_hash(fig1)
+        dumped = dump_scenario(fig1)
         observability = dict(fig1.observability)
         cameras = list(fig1.observability["cameras"])
         data = scenario_to_dict(fig1)
@@ -189,6 +194,8 @@ class TestRoundTrip:
         assert fig1.observability == observability
         assert fig1.observability["cameras"] == cameras
         assert scenario_hash(fig1) == before
+        # The hash is kept once worked out, so compare the uncached JSON form too.
+        assert dump_scenario(fig1) == dumped
 
     def test_actor_outside_the_parameters_rejected(self, fig1):
         data = scenario_to_dict(fig1)
@@ -472,3 +479,52 @@ class TestGroundActions:
             )
         ]
         assert len(applicable) == 7
+
+
+class TestInstanceTable:
+    SCHEMAS = [("move", "r1", "a", "b"), ("move", "r3", "e", "f"), ("nop", "r2")]
+
+    def test_a_repeated_schema_gives_the_kept_instance(self):
+        scenario = load_scenario(FIG1)
+        for schema in self.SCHEMAS:
+            first = scenario.instance_from_schema(schema)
+            assert scenario.instance_from_schema(schema) is first
+            d = scenario.description(schema[0])
+            fresh = ground_instance(d, dict(zip(d.params, schema[1:])), scenario.dynamic_predicates)
+            assert (first.schema, first.actor, first.pre, first.con, first.post) == (
+                fresh.schema,
+                fresh.actor,
+                fresh.pre,
+                fresh.con,
+                fresh.post,
+            )
+
+    def test_nop_instance_is_the_table_entry(self):
+        scenario = load_scenario(FIG1)
+        for agent in scenario.agents:
+            nop = scenario.nop_instance(agent)
+            assert nop is scenario.instance_from_schema(("nop", agent))
+            assert nop is scenario.nop_instance(agent)
+        # And the other way round: a NOP grounded by schema first.
+        scenario = load_scenario(FIG1)
+        nop = scenario.instance_from_schema(("nop", "r1"))
+        assert scenario.nop_instance("r1") is nop
+
+    def test_schemas_that_ground_nothing_raise_on_every_call(self):
+        scenario = load_scenario(FIG1)
+        for _ in range(2):
+            with pytest.raises(ScenarioError, match="unknown action description 'fly'"):
+                scenario.instance_from_schema(("fly", "r1"))
+            with pytest.raises(ArityError, match="does not fit params of move"):
+                scenario.instance_from_schema(("move", "r1", "a"))
+        assert not scenario._instances
+
+    def test_the_running_example_trace_still_replays(self):
+        scenario = load_scenario(FIG1)
+        header, rows = read_trace(RUNNING_EXAMPLE_TRACE)
+        for _ in range(2):
+            diffs, records = replay_trace(scenario, header, rows)
+            assert diffs == []
+            for record in records:
+                for action in record.observed:
+                    assert action is scenario.instance_from_schema(action.schema)
