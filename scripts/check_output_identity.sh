@@ -1,10 +1,12 @@
 #!/bin/sh
 # Byte-compare the CLI's CSV, trace and standard output of two source trees.
 #
-# Usage: scripts/check_output_identity.sh BEFORE_TREE AFTER_TREE OUT_DIR
+# Usage: scripts/check_output_identity.sh BEFORE AFTER_TREE OUT_DIR
 #
 # Each tree is a checkout of this repository (for example the parent commit,
-# made with `git archive`, and the working tree). The runs use fixed seeds
+# made with `git archive`, and the working tree). BEFORE may also be a git
+# revision of the repository the script is in, such as HEAD: it is then
+# archived into a temporary tree, removed on exit. The runs use fixed seeds
 # and PYTHONHASHSEED=0. Each run's standard output is kept next to its CSV,
 # as is that of `normmon replay` on the bundled running-example trace.
 # `replay-invalid.out` holds what `normmon replay` prints, on standard output
@@ -35,6 +37,17 @@
 set -eu
 before=$1 after=$2 out=$3
 export PYTHONHASHSEED=0
+
+if [ ! -d "$before" ]; then
+    repo=$(cd "$(dirname "$0")/.." && pwd)
+    rev=$(git -C "$repo" rev-parse --verify --quiet "$before^{commit}") || {
+        echo "$0: $before is neither a directory nor a git revision" >&2
+        exit 2
+    }
+    before=$(mktemp -d)
+    trap 'rm -rf "$before"' EXIT
+    git -C "$repo" archive "$rev" | tar -x -C "$before"
+fi
 
 run() {  # run NAME ARGS...: in the current side's directory, outputs NAME.*
     name=$1

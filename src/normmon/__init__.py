@@ -10,8 +10,6 @@ violations and fulfilments of prohibitions and obligations.
 from .actions import (
     ActionDescription,
     ActionInstance,
-    InapplicableActionError,
-    apply_concurrent,
     joint_post,
     joint_pre,
 )
@@ -33,6 +31,7 @@ from .harness import (
     simulate,
 )
 from .logic import (
+    CompiledRules,
     IntegrityRule,
     LiteralSet,
     StaticFacts,

@@ -9,12 +9,11 @@ from typing import FrozenSet, Iterable, Optional, Sequence, Set, Tuple
 
 from .logic import (
     Atom,
+    CompiledRules,
     Constraint,
-    IntegrityRule,
     Literal,
     LiteralSet,
     Matcher,
-    StaticFacts,
     Substitution,
     consistent_with,
     fired_through,
@@ -22,10 +21,6 @@ from .logic import (
     subst_literal,
     subst_term,
 )
-
-
-class InapplicableActionError(RuntimeError):
-    """A concurrent action was applied in a state where it does not hold."""
 
 
 @dataclass(frozen=True)
@@ -134,11 +129,7 @@ def concurrent_condition_satisfied(a: ActionInstance, actions: Sequence[ActionIn
     return True
 
 
-def effects(
-    actions: Sequence[ActionInstance],
-    statics: StaticFacts,
-    rules: Sequence[IntegrityRule],
-) -> Set[Literal]:
+def effects(actions: Sequence[ActionInstance], rules: CompiledRules) -> Set[Literal]:
     """Postconditions plus the preconditions they do not invalidate."""
     posts = joint_post(actions)
     post_set = LiteralSet(posts)
@@ -146,16 +137,13 @@ def effects(
     for lit in joint_pre(actions):
         if lit in out:
             continue
-        if consistent_with(post_set, [lit], statics, rules):
+        if consistent_with(post_set, [lit], rules):
             out.add(lit)
     return out
 
 
 def joint_successor(
-    actions: Sequence[ActionInstance],
-    state: Set[Atom],
-    statics: StaticFacts,
-    rules: Sequence[IntegrityRule],
+    actions: Sequence[ActionInstance], state: Set[Atom], rules: CompiledRules
 ) -> Tuple[Optional[Set[Atom]], Set[str]]:
     """The closed-world successor of a full state under a joint action, or
     None if some actor breaks it, and those actors: each with an unmet
@@ -171,27 +159,7 @@ def joint_successor(
         # which the judge's output follows, depends on how it was built.
         for atom, sign in sorted(posts, key=itemgetter(1)):
             (new.add if sign else new.discard)(atom)
-        broken |= fired_through(new, posts, statics, rules)
+        broken |= fired_through(new, posts, rules)
     offenders.update(a.actor for a in actions if not broken.isdisjoint(a.post))
     return (None if offenders else new), offenders
 
-
-def apply_concurrent(
-    actions: Sequence[ActionInstance],
-    state: Set[Atom],
-    statics: StaticFacts,
-    rules: Sequence[IntegrityRule],
-    agents: Iterable[str],
-) -> Set[Atom]:
-    """Closed-world state transition; faults on inapplicable input: not one
-    action per agent, a precondition false in the state, or an offender
-    that :func:`joint_successor` finds."""
-    actors = [a.actor for a in actions]
-    for a in actions:
-        for atom, sign in a.pre:
-            if (atom in state) != sign:
-                raise InapplicableActionError(f"precondition {atom} of {a} does not hold")
-    new, offenders = joint_successor(actions, state, statics, rules)
-    if offenders or len(actors) != len(set(actors)) or set(actors) != set(agents):
-        raise InapplicableActionError(f"inconsistent concurrent action {sorted(a.schema for a in actions)}")
-    return new

@@ -248,7 +248,7 @@ def step_world(
     }
     for rounds in count():
         joint = [choice[g] for g in agents]
-        new, offenders = joint_successor(joint, state, scenario.statics, scenario.rules)
+        new, offenders = joint_successor(joint, state, scenario.rules)
         if not offenders:
             return joint, new
         for g in sorted(offenders):

@@ -161,9 +161,6 @@ class StaticFacts:
     def with_pred(self, pred: str) -> Tuple[Atom, ...]:
         return self._by_pred.get(pred, ())
 
-    def predicates(self) -> Set[str]:
-        return set(self._by_pred)
-
 
 class LiteralSet:
     """Mutable signed set of ground atoms with per-predicate indexes.
@@ -646,26 +643,16 @@ class _Union:
         return found
 
 
-def is_consistent(
-    literals: Iterable[Literal],
-    statics: StaticFacts,
-    rules: Sequence[IntegrityRule],
-) -> bool:
+def is_consistent(literals: Iterable[Literal], rules: CompiledRules) -> bool:
     """False iff the set has a complementary pair or some rule body fires
     on it. The same check as :func:`consistent_with` from an empty state."""
-    return consistent_with(LiteralSet(), literals, statics, rules)
+    return consistent_with(LiteralSet(), literals, rules)
 
 
-def consistent_with(
-    base: LiteralSet,
-    additions: Iterable[Literal],
-    statics: StaticFacts,
-    rules: Sequence[IntegrityRule],
-) -> bool:
+def consistent_with(base: LiteralSet, additions: Iterable[Literal], rules: CompiledRules) -> bool:
     """Incremental check: is ``base`` (assumed consistent) still consistent
     once ``additions`` are asserted? Only interactions involving the added
-    literals are checked. Rules compiled against ``statics``, as a
-    scenario's are, are used as they are; others are compiled for the call."""
+    literals are checked, against the rules and their static facts."""
     known = base.signs
     added: Dict[Atom, bool] = {}
     for atom, sign in additions:
@@ -677,23 +664,10 @@ def consistent_with(
             return False
     if not added or not rules:
         return True
-    return _compiled(rules, statics).admits(base, added)
+    return rules.admits(base, added)
 
 
-def _compiled(rules: Sequence[IntegrityRule], statics: StaticFacts) -> CompiledRules:
-    """Rules compiled against ``statics``, as a scenario's are, as they are;
-    others compiled for the call."""
-    if isinstance(rules, CompiledRules) and rules.statics is statics:
-        return rules
-    return CompiledRules(rules, statics)
-
-
-def fired_through(
-    state: Collection[Atom],
-    literals: Iterable[Literal],
-    statics: StaticFacts,
-    rules: Sequence[IntegrityRule],
-) -> Set[Literal]:
+def fired_through(state: Collection[Atom], literals: Iterable[Literal], rules: CompiledRules) -> Set[Literal]:
     """The ground literals, of a changed full state, through which it breaks
     an integrity rule: each that :meth:`CompiledRules.breaks` in the state
     read as a :class:`ClosedWorld`. A literal whose complement holds there
@@ -701,8 +675,7 @@ def fired_through(
     that happens only when two of the literals contradict each other."""
     if not rules:
         return set()
-    rules = _compiled(rules, statics)
-    world = ClosedWorld(state, statics)
+    world = ClosedWorld(state, rules.statics)
     return {literal for literal in literals if rules.breaks(literal, world, world)}
 
 
@@ -710,8 +683,7 @@ def survivors(
     state: LiteralSet,
     base: Collection[Literal],
     post_sets: Iterable[Collection[Literal]],
-    statics: StaticFacts,
-    rules: Sequence[IntegrityRule],
+    rules: CompiledRules,
 ) -> List[Literal]:
     """The literals of ``state`` (assumed consistent) each consistent with
     ``base`` plus every one of ``post_sets`` in turn, or with ``base`` alone
@@ -728,7 +700,6 @@ def survivors(
     frozenset, keep that mask; any other set is looked up literal by
     literal. Otherwise each literal of ``state`` is checked with
     :func:`consistent_with`."""
-    rules = _compiled(rules, statics)
     if not rules.joins:
         literals = list(state.signs.items())
         if not literals:
@@ -742,12 +713,12 @@ def survivors(
         killed &= ~asserted
         return [l for l, bit in zip(literals, bits) if not bit & killed]
     known = LiteralSet(base)
-    kept = [l for l in state.literals() if consistent_with(known, [l], statics, rules)]
+    kept = [l for l in state.literals() if consistent_with(known, [l], rules)]
     for post in post_sets:
         if not kept:
             break
         extra = known.assume(post)
-        kept = [l for l in kept if consistent_with(known, [l], statics, rules)]
+        kept = [l for l in kept if consistent_with(known, [l], rules)]
         known.retract(extra)
     return kept
 

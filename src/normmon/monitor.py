@@ -67,7 +67,7 @@ class TickRecord:
 def invariant_literals(p: LiteralSet, eff: Set[Literal], scenario: Scenario) -> List[Literal]:
     """Literals of p not modified by a fully observed concurrent action
     with effects ``eff``."""
-    return survivors(p, eff, (), scenario.statics, scenario.rules)
+    return survivors(p, eff, (), scenario.rules)
 
 
 def check_norms(
@@ -144,14 +144,14 @@ class NormMonitor:
         unknown = set(actors) - set(self.scenario.agents)
         if unknown:
             raise SensorFault(f"observed actions of unknown agents {sorted(unknown)}")
-        statics, rules = self.scenario.statics, self.scenario.rules
+        rules = self.scenario.rules
         for a in acts:
             self.scenario.description(a.name)
         # A consistent joint precondition has consistent parts, so each
         # action is checked alone only to say which one failed.
-        if not consistent_with(self.curr, joint_pre(acts), statics, rules):
+        if not consistent_with(self.curr, joint_pre(acts), rules):
             for a in acts:
-                if not consistent_with(self.curr, a.pre, statics, rules):
+                if not consistent_with(self.curr, a.pre, rules):
                     raise SensorFault(f"observed action {a} contradicts the current state")
             raise SensorFault("observed actions have jointly inconsistent preconditions")
         return acts
@@ -209,9 +209,14 @@ class NormMonitor:
         if self._finished:
             raise RuntimeError("monitor already finished")
         acts = self._validate(observed)
-        nxt = LiteralSet(joint_post(acts))
+        posts = joint_post(acts)
+        nxt = LiteralSet(posts)
+        # A set keeps one sign per atom, so it is smaller exactly when two
+        # postconditions contradict each other.
+        if len(nxt) != len(posts):
+            raise SensorFault("observed actions have contradicting postconditions")
         if len(acts) == len(self.scenario.agents):
-            eff = effects(acts, self.scenario.statics, self.scenario.rules)
+            eff = effects(acts, self.scenario.rules)
             for lit in invariant_literals(self.curr, eff, self.scenario):
                 nxt.add(lit)
             for lit in eff:

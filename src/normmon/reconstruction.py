@@ -67,9 +67,7 @@ def action_fits(
 ) -> bool:
     """Per-action consistency: preconditions against the initial partial
     state, postconditions against the final one."""
-    return consistent_with(i, a.pre, scenario.statics, scenario.rules) and consistent_with(
-        f, a.post, scenario.statics, scenario.rules
-    )
+    return consistent_with(i, a.pre, scenario.rules) and consistent_with(f, a.post, scenario.rules)
 
 
 def candidate_actions(
@@ -103,7 +101,7 @@ def _assume_checked(
 ) -> None:
     """Extend a sound state, which must stay consistent. The fault message
     is formatted only when raised: this runs on every reconstructing tick."""
-    if not consistent_with(state, literals, scenario.statics, scenario.rules):
+    if not consistent_with(state, literals, scenario.rules):
         what = what if subject is None else f"{what} {subject}"
         raise KnowledgeFault(f"{where} state contradicted by {what}")
     state.assume(literals)
@@ -201,7 +199,7 @@ def _extended_invariants(
     """Literals of i that neither the known actions nor any possible
     completion can have changed: each consistent with the known
     postconditions plus every one of the post sets in turn."""
-    return survivors(i, joint_post(acts), post_sets, scenario.statics, scenario.rules)
+    return survivors(i, joint_post(acts), post_sets, scenario.rules)
 
 
 def _commit(
@@ -230,8 +228,8 @@ def _commit(
         _assume_checked(scenario, f, post, "final", "reconstructed postconditions")
         f.assume(extended)
     else:
-        eff = effects(acts, scenario.statics, scenario.rules)
-        f.assume(survivors(i, eff, (), scenario.statics, scenario.rules))
+        eff = effects(acts, scenario.rules)
+        f.assume(survivors(i, eff, (), scenario.rules))
         _assume_checked(scenario, f, eff, "final", "joint effects")
     return acts
 

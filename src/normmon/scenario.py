@@ -358,7 +358,9 @@ class Scenario:
     _pres: Dict[str, Tuple] = field(default_factory=dict, init=False, compare=False, repr=False)
     _bits: Dict[str, ActionBits] = field(default_factory=dict, init=False, compare=False, repr=False)
     _watched: Dict[Atom, bool] = field(default_factory=dict, init=False, compare=False, repr=False)
-    # ``scenario_hash``, on first use.
+    # ``constants``, ``decomposable`` and ``scenario_hash``, on first use.
+    _constants: Optional[Tuple[str, ...]] = field(default=None, init=False, compare=False, repr=False)
+    _decomposable: Optional[bool] = field(default=None, init=False, compare=False, repr=False)
     _hash: Optional[str] = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
@@ -406,7 +408,7 @@ class Scenario:
         return self.instance_from_schema((self._nop.name, agent))
 
     def constants(self) -> Tuple[str, ...]:
-        if not hasattr(self, "_constants"):
+        if self._constants is None:
             consts = set(self.agents)
             for atom in self.statics.atoms:
                 consts.update(atom[1:])
@@ -485,8 +487,7 @@ class Scenario:
             cached = self._coherent[agent] = tuple(
                 a
                 for a in self.ground_actions(agent)
-                if is_consistent(a.pre, self.statics, self.rules)
-                and is_consistent(a.post, self.statics, self.rules)
+                if is_consistent(a.pre, self.rules) and is_consistent(a.post, self.rules)
             )
         return cached
 
@@ -506,7 +507,7 @@ class Scenario:
         ground actions only, no ground action has a concurrency condition,
         and no integrity rule can match atoms of two different agents.
         Derived on first use and cached."""
-        if not hasattr(self, "_decomposable"):
+        if self._decomposable is None:
             self._decomposable = self._derive_decomposable()
         return self._decomposable
 
@@ -691,8 +692,8 @@ def scenario_from_dict(data: Dict) -> Scenario:
     initial += [(atom, False) for atom in scenario.dynamic_atoms if atom not in truths]
     known = LiteralSet()
     for literal in initial:
-        if not consistent_with(known, [literal], scenario.statics, scenario.rules):
-            broken = next(r for r in scenario.rules if not is_consistent(initial, scenario.statics, [r]))
+        if not consistent_with(known, [literal], scenario.rules):
+            broken = next(r for r in scenario.rules if not is_consistent(initial, CompiledRules([r], statics)))
             raise ScenarioError(f"the initial state breaks the rule {_rule_text(broken)}")
         known.add(literal)
     refs = [(f"norm {n.id}", n.action.pattern()) for n in scenario.norms]

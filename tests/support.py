@@ -42,9 +42,9 @@ def joint_consistent(scenario: Scenario, joint, before, after) -> bool:
     actors = [a.actor for a in joint]
     if len(actors) != len(set(actors)) or set(actors) != set(scenario.agents):
         return False
-    if not consistent_with(before, joint_pre(joint), scenario.statics, scenario.rules):
+    if not consistent_with(before, joint_pre(joint), scenario.rules):
         return False
-    if not consistent_with(after, joint_post(joint), scenario.statics, scenario.rules):
+    if not consistent_with(after, joint_post(joint), scenario.rules):
         return False
     return all(concurrent_condition_satisfied(a, joint) for a in joint)
 

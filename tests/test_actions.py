@@ -1,17 +1,9 @@
 import itertools
 
-import pytest
-
 from conftest import crowded_office
-from normmon.actions import (
-    InapplicableActionError,
-    apply_concurrent,
-    effects,
-    joint_post,
-    joint_pre,
-)
+from normmon.actions import effects, joint_post, joint_pre, joint_successor
 from normmon.harness import applicable_actions
-from normmon.logic import is_consistent
+from normmon.logic import CompiledRules, is_consistent
 from normmon.scenario import parse_atom, scenario_from_dict, scenario_to_dict
 
 
@@ -48,34 +40,28 @@ class TestJointActions:
         assert (("in", "r1", "b"), True) in joint_post(acts)
         assert (("in", "r3", "e"), False) in joint_post(acts)
 
-    def test_apply_concurrent_moves_all_robots(self, fig1, inst):
+    def test_joint_successor_moves_all_robots(self, fig1, inst):
         state = set(fig1.initial_state)
-        nxt = apply_concurrent(
-            [inst("move(r1,a,b)"), inst("move(r2,d,a)"), inst("move(r3,e,a)")],
-            state,
-            fig1.statics,
-            fig1.rules,
-            fig1.agents,
-        )
-        assert nxt == {("in", "r1", "b"), ("in", "r2", "a"), ("in", "r3", "a")}
+        joint = [inst("move(r1,a,b)"), inst("move(r2,d,a)"), inst("move(r3,e,a)")]
+        nxt = {("in", "r1", "b"), ("in", "r2", "a"), ("in", "r3", "a")}
+        assert joint_successor(joint, state, fig1.rules) == (nxt, set())
+        assert state == set(fig1.initial_state)
 
     def test_all_nop_leaves_the_state_unchanged(self, fig1):
         state = set(fig1.initial_state)
         nops = [fig1.instance_from_schema(("nop", r)) for r in fig1.agents]
-        assert apply_concurrent(nops, state, fig1.statics, fig1.rules, fig1.agents) == state
+        assert joint_successor(nops, state, fig1.rules) == (state, set())
 
     def test_inapplicable_action_rejected(self, fig1, inst):
-        state = set(fig1.initial_state)
-        nops = [fig1.instance_from_schema(("nop", r)) for r in ("r1", "r2")]
-        with pytest.raises(InapplicableActionError):
-            # r3 is in e, not in a
-            apply_concurrent(
-                nops + [inst("move(r3,a,b)")], state, fig1.statics, fig1.rules, fig1.agents
-            )
+        # The simulator draws only actions whose preconditions hold in the
+        # state: r3 is in e, not in a.
+        options = applicable_actions(fig1, "r3", set(fig1.initial_state))
+        assert inst("move(r3,a,b)") not in options
+        assert inst("move(r3,e,a)") in options
 
     def test_effects_equal_joint_post_without_rules_firing(self, fig1, inst):
         acts = [inst("move(r1,a,b)")]
-        assert set(effects(acts, fig1.statics, fig1.rules)) >= set(joint_post(acts))
+        assert set(effects(acts, fig1.rules)) >= set(joint_post(acts))
 
 
 def fig1_with_move(fig1, **changes):
@@ -85,54 +71,46 @@ def fig1_with_move(fig1, **changes):
     return scenario_from_dict(data)
 
 
-def apply_joint(scenario, schemas):
+def offenders(scenario, schemas):
+    """The actors through whom the joint action of the schemas breaks the
+    initial state's successor; the successor is None exactly when there
+    are some."""
     joint = [scenario.instance_from_schema(parse_atom(s)[0]) for s in schemas]
-    state = set(scenario.initial_state)
-    return apply_concurrent(joint, state, scenario.statics, scenario.rules, scenario.agents)
+    new, found = joint_successor(joint, set(scenario.initial_state), scenario.rules)
+    assert (new is None) == bool(found)
+    return found
 
 
 class TestInconsistentConcurrentAction:
     """Each joint action below has every precondition true in the initial
-    state, so ``apply_concurrent`` rejects it on the joint check alone."""
-
-    def test_an_actor_with_two_actions(self, fig1):
-        with pytest.raises(InapplicableActionError, match="inconsistent concurrent action"):
-            apply_joint(fig1, ["nop(r1)", "move(r1,a,b)", "nop(r2)", "nop(r3)"])
-
-    def test_an_agent_without_an_action(self, fig1):
-        with pytest.raises(InapplicableActionError, match="inconsistent concurrent action"):
-            apply_joint(fig1, ["nop(r1)", "nop(r2)"])
+    state, so ``joint_successor`` judges it on the joint check alone."""
 
     def test_an_unmet_positive_concurrency_condition(self, fig1):
         # A move needs some other robot to move at the same time.
         scenario = fig1_with_move(fig1, con=[{"schema": "move(S,X,Y)", "positive": True}])
-        with pytest.raises(InapplicableActionError, match="inconsistent concurrent action"):
-            apply_joint(scenario, ["move(r1,a,b)", "nop(r2)", "nop(r3)"])
-        apply_joint(scenario, ["move(r1,a,b)", "move(r2,d,e)", "nop(r3)"])
+        assert offenders(scenario, ["move(r1,a,b)", "nop(r2)", "nop(r3)"]) == {"r1"}
+        assert offenders(scenario, ["move(r1,a,b)", "move(r2,d,e)", "nop(r3)"]) == set()
 
     def test_an_unmet_negative_concurrency_condition(self, fig1):
         # A move is excluded while any robot waits.
         scenario = fig1_with_move(fig1, con=[{"schema": "nop(S)", "positive": False}])
-        with pytest.raises(InapplicableActionError, match="inconsistent concurrent action"):
-            apply_joint(scenario, ["move(r1,a,b)", "nop(r2)", "nop(r3)"])
-        apply_joint(scenario, ["move(r1,a,b)", "move(r2,d,e)", "move(r3,e,f)"])
+        assert offenders(scenario, ["move(r1,a,b)", "nop(r2)", "nop(r3)"]) == {"r1"}
+        assert offenders(scenario, ["move(r1,a,b)", "move(r2,d,e)", "move(r3,e,f)"]) == set()
 
     def test_posts_that_assert_an_atom_with_opposite_signs(self, fig1):
         # A move lights the office it enters and darkens the one it leaves:
         # r1 leaves a as r2 enters it.
         move = scenario_to_dict(fig1)["action_descriptions"][0]
         scenario = fig1_with_move(fig1, post=move["post"] + ["lit(O2)", "-lit(O1)"])
-        with pytest.raises(InapplicableActionError, match="inconsistent concurrent action"):
-            apply_joint(scenario, ["move(r1,a,b)", "move(r2,d,a)", "nop(r3)"])
-        apply_joint(scenario, ["move(r1,a,b)", "move(r2,d,e)", "nop(r3)"])
+        assert offenders(scenario, ["move(r1,a,b)", "move(r2,d,a)", "nop(r3)"]) == {"r1", "r2"}
+        assert offenders(scenario, ["move(r1,a,b)", "move(r2,d,e)", "nop(r3)"]) == set()
 
     def test_a_successor_that_breaks_a_rule(self):
         # No two robots in one office: r3 may not enter o2 while r2 stays.
         scenario = crowded_office(0)
         nops = [f"nop({r})" for r in scenario.agents if r != "r3"]
-        with pytest.raises(InapplicableActionError, match="inconsistent concurrent action"):
-            apply_joint(scenario, ["move(r3,o3,o2)", *nops])
-        apply_joint(scenario, ["move(r3,o3,o6)", *nops])
+        assert offenders(scenario, ["move(r3,o3,o2)", *nops]) == {"r3"}
+        assert offenders(scenario, ["move(r3,o3,o6)", *nops]) == set()
 
     def test_every_joint_action_is_judged_by_its_successor(self):
         # Each joint action of the crowded office's first tick is accepted
@@ -151,13 +129,11 @@ class TestInconsistentConcurrentAction:
                 atom for atom, sign in posts if sign
             }
             closed = [(atom, atom in new) for atom in scenario.dynamic_atoms]
-            expected = is_consistent(closed, scenario.statics, scenario.rules) and is_consistent(
-                posts, scenario.statics, []
+            expected = is_consistent(closed, scenario.rules) and is_consistent(
+                posts, CompiledRules([], scenario.statics)
             )
-            try:
-                got = apply_concurrent(joint, state, scenario.statics, scenario.rules, scenario.agents)
-            except InapplicableActionError:
-                got = None
+            got, found = joint_successor(joint, state, scenario.rules)
             assert got == (new if expected else None)
+            assert bool(found) != expected
             accepted += expected
         assert 0 < accepted < len(list(itertools.product(*rows)))

@@ -122,7 +122,7 @@ class TestSimulation:
             log = simulate(scenario, 40, random.Random(seed))
             for state in log.states:
                 closed = [(atom, atom in state) for atom in scenario.dynamic_atoms]
-                assert is_consistent(closed, scenario.statics, scenario.rules)
+                assert is_consistent(closed, scenario.rules)
             moves += sum(a.name == "move" for acts in log.executed for a in acts)
         assert moves > 100
 

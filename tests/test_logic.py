@@ -204,20 +204,21 @@ late_literals = st.tuples(
 class TestConsistency:
     def test_rule_rejects_two_positions(self):
         lits = [(("in", "r1", "a"), True), (("in", "r1", "b"), True)]
-        assert not is_consistent(lits, NO_STATICS, [RULE])
+        assert not is_consistent(lits, CompiledRules([RULE], NO_STATICS))
 
     def test_negative_does_not_fire_the_rule(self):
         lits = [(("in", "r1", "a"), True), (("in", "r1", "b"), False)]
-        assert is_consistent(lits, NO_STATICS, [RULE])
+        assert is_consistent(lits, CompiledRules([RULE], NO_STATICS))
 
     def test_direct_sign_contradiction(self):
         state = LiteralSet([(("in", "r1", "a"), True)])
-        assert not consistent_with(state, [(("in", "r1", "a"), False)], NO_STATICS, [])
+        assert not consistent_with(state, [(("in", "r1", "a"), False)], CompiledRules([], NO_STATICS))
 
     def test_consistent_with_rejects_rule_completion(self):
         state = LiteralSet([(("in", "r1", "a"), True)])
-        assert not consistent_with(state, [(("in", "r1", "b"), True)], NO_STATICS, [RULE])
-        assert consistent_with(state, [(("in", "r2", "b"), True)], NO_STATICS, [RULE])
+        rules = CompiledRules([RULE], NO_STATICS)
+        assert not consistent_with(state, [(("in", "r1", "b"), True)], rules)
+        assert consistent_with(state, [(("in", "r2", "b"), True)], rules)
 
     @given(st.lists(ground_atoms(), max_size=6), st.lists(ground_atoms(), max_size=3))
     @settings(max_examples=200)
@@ -227,9 +228,8 @@ class TestConsistency:
         added = [(a, True) for a in extra]
         if not reference_consistent_with(LiteralSet(), state.literals(), NO_STATICS, rules):
             return
-        assert consistent_with(state, added, NO_STATICS, rules) == reference_consistent_with(
-            state, added, NO_STATICS, rules
-        )
+        expected = reference_consistent_with(state, added, NO_STATICS, rules)
+        assert consistent_with(state, added, CompiledRules(rules, NO_STATICS)) == expected
 
     @given(
         st.lists(st.sampled_from(sorted(RULE_SHAPES)), min_size=1, max_size=3, unique=True),
@@ -261,17 +261,15 @@ class TestConsistency:
         # are answered from what was kept.
         for additions in queries:
             expected = reference_consistent_with(state, additions, statics, rules)
-            assert consistent_with(state, additions, statics, compiled) == expected
-            assert consistent_with(state, additions, statics, rules) == expected
+            assert consistent_with(state, additions, compiled) == expected
 
     def test_is_consistent_is_the_check_from_an_empty_state(self):
         rules = [RULE_SHAPES["static partner"], RULE_SHAPES["one literal"]]
         statics = StaticFacts([("s", "a")])
+        compiled = CompiledRules(rules, statics)
         for lits in ([(("q", "a"), True)], [(("p", "b", "b"), True)], [(("q", "b"), True)]):
-            assert is_consistent(lits, statics, rules) == consistent_with(
-                LiteralSet(), lits, statics, rules
-            )
-            assert is_consistent(lits, statics, rules) == reference_consistent_with(
+            assert is_consistent(lits, compiled) == consistent_with(LiteralSet(), lits, compiled)
+            assert is_consistent(lits, compiled) == reference_consistent_with(
                 LiteralSet(), lits, statics, rules
             )
 
@@ -279,9 +277,9 @@ class TestConsistency:
         runs = []
         rows = logic.Plan.rows
         monkeypatch.setattr(logic.Plan, "rows", lambda plan, *a: runs.append(plan) or rows(plan, *a))
-        rules = [RULE_SHAPES["three literals"]]
+        rules = CompiledRules([RULE_SHAPES["three literals"]], NO_STATICS)
         state = LiteralSet([(("q", "b"), True), (("in", "a", "b"), False)])
-        assert not consistent_with(state, [(("p", "a", "b"), True)], NO_STATICS, rules)
+        assert not consistent_with(state, [(("p", "a", "b"), True)], rules)
         assert runs
 
     def test_literal_that_completes_a_rule_with_itself_fires(self):
@@ -290,8 +288,8 @@ class TestConsistency:
         # A literal that fires clashes with itself, even in an empty set.
         assert list(compiled.clashes((("p", "a"), True), LiteralSet())) == [(("p", "a"), True)]
         assert list(compiled.clashes((("p", "a"), False), LiteralSet())) == []
-        assert not is_consistent([(("p", "a"), True)], NO_STATICS, compiled)
-        assert is_consistent([(("p", "a"), False)], NO_STATICS, compiled)
+        assert not is_consistent([(("p", "a"), True)], compiled)
+        assert is_consistent([(("p", "a"), False)], compiled)
         assert not reference_consistent_with(LiteralSet(), [(("p", "a"), True)], NO_STATICS, rules)
 
     def test_compiled_rules_skip_unify(self, fig1, monkeypatch):
@@ -338,14 +336,14 @@ def _with_firing(literals, statics, rules, base):
     return kept
 
 
-def per_literal_survivors(state, base, post_sets, statics, rules):
+def per_literal_survivors(state, base, post_sets, rules):
     """Each literal of the state checked on its own with ``consistent_with``
     against the base, and against the base plus each post set."""
     unions = [LiteralSet(base)] + [LiteralSet(list(base) + list(post)) for post in post_sets]
     return [
         literal
         for literal in state.literals()
-        if all(consistent_with(union, [literal], statics, rules) for union in unions)
+        if all(consistent_with(union, [literal], rules) for union in unions)
     ]
 
 
@@ -396,9 +394,9 @@ class TestSurvivors:
         base = _consistent_part(base_literals, statics, rules)
         # Post sets may hold literals that fire a rule on their own.
         post_sets = [_with_firing(post, statics, rules, base) for post in posts]
-        expected = per_literal_survivors(state, base, post_sets, statics, compiled)
+        expected = per_literal_survivors(state, base, post_sets, compiled)
         # A generator of post sets, as the reconstruction routes pass them.
-        got = survivors(state, base, (p for p in post_sets), statics, compiled)
+        got = survivors(state, base, (p for p in post_sets), compiled)
         assert got == expected
         assert (bool(compiled) and not compiled.joins) == (bool(shapes) and "three literals" not in shapes)
 
@@ -414,7 +412,7 @@ class TestSurvivors:
         rules = CompiledRules([RULE], NO_STATICS)
         state = LiteralSet([(("in", "r", "a"), True), (("in", "s", "a"), True)])
         calls = self._counting(monkeypatch)
-        got = survivors(state, [(("in", "r", "b"), False)], [[(("in", "s", "b"), True)]], NO_STATICS, rules)
+        got = survivors(state, [(("in", "r", "b"), False)], [[(("in", "s", "b"), True)]], rules)
         assert got == [(("in", "r", "a"), True)]
         assert calls == []
 
@@ -423,10 +421,10 @@ class TestSurvivors:
         state = LiteralSet([(("in", "a", "b"), False), (("q", "a"), True)])
         base = [(("q", "b"), True)]
         post_sets = [[(("p", "a", "b"), True)]]
-        expected = per_literal_survivors(state, base, post_sets, NO_STATICS, rules)
+        expected = per_literal_survivors(state, base, post_sets, rules)
         assert expected == [(("q", "a"), True)]
         calls = self._counting(monkeypatch)
-        assert survivors(state, base, post_sets, NO_STATICS, rules) == expected
+        assert survivors(state, base, post_sets, rules) == expected
         # Each literal of the state against the base, then with the post set.
         assert len(calls) == 4
 
@@ -438,10 +436,10 @@ class TestSurvivors:
         )
         # The second post set holds p(c,c), which fires the one-literal rule.
         post_sets = [[(("in", "r", "c"), True)], [(("p", "c", "c"), True), (("p", "a", "b"), True)]]
-        expected = per_literal_survivors(state, [], post_sets, NO_STATICS, compiled)
+        expected = per_literal_survivors(state, [], post_sets, compiled)
         assert expected == [(("q", "a"), True)]
         calls = self._counting(monkeypatch)
-        assert survivors(state, [], post_sets, NO_STATICS, compiled) == expected
+        assert survivors(state, [], post_sets, compiled) == expected
         # The firing literal kills what clashes with it, on the pairwise path.
         assert len(calls) == 0
 
@@ -482,8 +480,8 @@ class TestSurvivors:
                 (frozenset if kept else set)(_with_firing(post, statics, rules, base))
                 for post, kept in posts
             ]
-            expected = per_literal_survivors(state, base, post_sets, statics, compiled)
-            assert survivors(state, base, post_sets, statics, compiled) == expected
+            expected = per_literal_survivors(state, base, post_sets, compiled)
+            assert survivors(state, base, post_sets, compiled) == expected
 
     @pytest.mark.parametrize("rules", [[RULE], []], ids=["office rule", "no rules"])
     def test_literals_seen_before_make_no_clashes_call(self, rules, monkeypatch):
@@ -491,11 +489,11 @@ class TestSurvivors:
         state = LiteralSet([(("in", "r", "a"), True), (("in", "s", "a"), True), (("in", "s", "b"), False)])
         base = {(("in", "r", "b"), False)}
         post_sets = [frozenset([(("in", "s", "b"), True)]), {(("in", "r", "c"), True)}]
-        first = survivors(state, base, post_sets, NO_STATICS, compiled)
+        first = survivors(state, base, post_sets, compiled)
         calls = []
         clashes = CompiledRules.clashes
         monkeypatch.setattr(CompiledRules, "clashes", lambda self, *a: calls.append(a) or clashes(self, *a))
-        assert survivors(state, base, post_sets, NO_STATICS, compiled) == first
+        assert survivors(state, base, post_sets, compiled) == first
         assert calls == []
 
 
@@ -553,9 +551,7 @@ class TestFiredThrough:
             (successor.add if sign else successor.discard)(atom)
         posts = set(posts.items())
         expected = closed_world_fired_through(successor, posts, statics, rules)
-        assert logic.fired_through(successor, posts, statics, rules) == expected
-        compiled = CompiledRules(rules, statics)
-        assert logic.fired_through(successor, posts, statics, compiled) == expected
+        assert logic.fired_through(successor, posts, CompiledRules(rules, statics)) == expected
 
 
 def test_monitor_records_match_the_brute_force_checker(monkeypatch):
@@ -571,7 +567,11 @@ def test_monitor_records_match_the_brute_force_checker(monkeypatch):
         [NormMonitor(s, variant=v).run(log.observed) for v in VARIANTS] for s, log in runs
     ]
     for module in (logic, actions, reconstruction, monitor):
-        monkeypatch.setattr(module, "consistent_with", reference_consistent_with)
+        monkeypatch.setattr(
+            module,
+            "consistent_with",
+            lambda base, additions, rules: reference_consistent_with(base, additions, rules.statics, rules),
+        )
     reference = [
         [NormMonitor(s, variant=v).run(log.observed) for v in VARIANTS] for s, log in runs
     ]

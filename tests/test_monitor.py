@@ -187,6 +187,36 @@ class TestSensorFaults:
         with pytest.raises(SensorFault, match=re.escape(message)):
             monitor.advance([inst("move(r1,a,b)"), inst("move(r2,a,e)")])
 
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_contradicting_postconditions_are_rejected(self, variant):
+        # up(X) makes p true and down(X) makes it false: no tick runs both.
+        agent = {"actor": "X", "params": ["X"], "pre": ["agent(X)"], "constraints": [], "con": []}
+        scenario = scenario_from_dict(
+            {
+                "name": "up-and-down",
+                "agents": ["a", "b"],
+                "statics": ["agent(a)", "agent(b)"],
+                "initial_state": [],
+                "dynamic_atoms": ["p"],
+                "rules": [],
+                "action_descriptions": [
+                    {**agent, "name": "up", "post": ["p"], "nop": False},
+                    {**agent, "name": "down", "post": ["-p"], "nop": False},
+                    {**agent, "name": "nop", "post": [], "nop": True},
+                ],
+                "norms": [],
+                "observability": {"mode": "probability", "probability": 1.0},
+            }
+        )
+        up, down = (scenario.instance_from_schema(s) for s in (("up", "a"), ("down", "b")))
+        monitor = NormMonitor(scenario, variant=variant)
+        monitor.advance([up, scenario.nop_instance("b")])
+        before = (monitor.tick, monitor.prev.snapshot(), monitor.curr.snapshot(), monitor.prev_obs)
+        message = "observed actions have contradicting postconditions"
+        with pytest.raises(SensorFault, match=re.escape(message)):
+            monitor.advance([up, down])
+        assert (monitor.tick, monitor.prev.snapshot(), monitor.curr.snapshot(), monitor.prev_obs) == before
+
     def test_duplicate_actor_is_rejected(self, fig1, inst):
         monitor = NormMonitor(fig1, variant=FULL)
         with pytest.raises(SensorFault):

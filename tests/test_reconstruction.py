@@ -273,7 +273,7 @@ class TestPairwiseCore:
         assert results[1] == [
             l
             for l in i.literals()
-            if all(logic.consistent_with(u, [l], fig1.statics, fig1.rules) for u in unions)
+            if all(logic.consistent_with(u, [l], fig1.rules) for u in unions)
         ]
 
 
@@ -308,7 +308,7 @@ def _partial_state(scenario, atoms, draws):
     state = LiteralSet()
     for k, sign in draws:
         literal = (atoms[k % len(atoms)], sign)
-        if logic.consistent_with(state, [literal], scenario.statics, scenario.rules):
+        if logic.consistent_with(state, [literal], scenario.rules):
             state.add(literal)
     return state
 
