@@ -12,7 +12,7 @@ from normmon.harness import (
     generate_random,
     run_experiment,
 )
-from normmon.scenario import parse_atom, scenario_from_dict, scenario_to_dict
+from normmon.scenario import parse_atom
 
 SWEEP_RATIOS = (0.0, 0.2, 0.4, 0.6, 0.8, 1.0)
 
@@ -66,7 +66,14 @@ def soundness_report():
 def search_oracle_report():
     from support import run_search_oracle
 
-    return run_search_oracle(100)
+    return run_search_oracle(100, min_crowded=100)
+
+
+@pytest.fixture(scope="session")
+def rule_soundness_report():
+    from support import run_rule_soundness_suite
+
+    return run_rule_soundness_suite(16, 30)
 
 
 def small_random_scenario(seed, agents=(2, 4), actions=(2, 6)):
@@ -90,15 +97,3 @@ def generated_scenarios():
         for ratio in (0.3, 0.7):
             yield generate_case_study(CaseStudyConfig(camera_ratio=ratio), random.Random(seed))
         yield generate_random(RandomConfig(agents=3, actions=6), random.Random(seed))
-
-
-def crowded_office(seed):
-    """An office scenario with no two robots in one office, built as
-    ``scripts/check_output_identity.sh`` builds it: 6-8 offices, 4-5
-    robots, each starting in an office of its own."""
-    rng = random.Random(seed)
-    cfg = CaseStudyConfig(offices_min=6, offices_max=8, robots_min=4, robots_max=5, camera_ratio=0.3)
-    data = scenario_to_dict(generate_case_study(cfg, rng))
-    data["rules"].append({"body": ["in(R1,O)", "in(R2,O)"], "constraints": ["R1!=R2"]})
-    data["initial_state"] = [f"in({r},o{k})" for k, r in enumerate(data["agents"], 1)]
-    return scenario_from_dict(data)

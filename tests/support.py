@@ -7,13 +7,16 @@ so callers can report totals in a single place.
 
 import itertools
 import random
-from typing import Dict, List
+from typing import Dict, Iterator, List, Optional, Tuple
 
 import normmon.monitor as monitor
 import normmon.reconstruction as reconstruction
 from normmon.harness import (
+    CaseStudyConfig,
     GroundTruthLog,
     RandomConfig,
+    applicable_actions,
+    generate_case_study,
     generate_random,
     oracle_events,
     simulate,
@@ -31,7 +34,57 @@ from normmon.norms import (
     matched_by,
     relevant_instances_closed,
 )
-from normmon.scenario import Scenario
+from normmon.scenario import Scenario, scenario_from_dict, scenario_to_dict
+
+# No two robots in one office: a rule that joins two agents' atoms, so a
+# scenario that carries it is not decomposable.
+CROWDED_RULE = {"body": ["in(R1,O)", "in(R2,O)"], "constraints": ["R1!=R2"]}
+# No three robots in one office: a rule of three body literals.
+TRIO_RULE = {
+    "body": ["in(R1,O)", "in(R2,O)", "in(R3,O)"],
+    "constraints": ["R1!=R2", "R1!=R3", "R2!=R3"],
+}
+
+
+def office_with_rule(cfg: CaseStudyConfig, rng: random.Random, rule: Dict) -> Scenario:
+    """A case-study scenario with one more integrity rule, each robot
+    starting in an office of its own (the config must have no more robots
+    than offices)."""
+    data = scenario_to_dict(generate_case_study(cfg, rng))
+    data["rules"].append(rule)
+    data["initial_state"] = [f"in({r},o{k})" for k, r in enumerate(data["agents"], 1)]
+    return scenario_from_dict(data)
+
+
+def crowded_office(seed: int, cfg: Optional[CaseStudyConfig] = None) -> Scenario:
+    """An office scenario with no two robots in one office, built as
+    ``scripts/check_output_identity.sh`` builds it: by default 6-8 offices
+    and 4-5 robots."""
+    if cfg is None:
+        cfg = CaseStudyConfig(offices_min=6, offices_max=8, robots_min=4, robots_max=5, camera_ratio=0.3)
+    return office_with_rule(cfg, random.Random(seed), CROWDED_RULE)
+
+
+def rule_runs(n: int, steps: int) -> Iterator[Tuple[str, Scenario, GroundTruthLog]]:
+    """Ground-truth runs of scenarios with integrity rules, n of each kind,
+    labelled: office runs with cameras (ratios 0.2 to 0.8), crowded-office
+    runs and office runs under a rule of three body literals. Random
+    domains carry no rules, so these are the runs on which the rule paths
+    meet the soundness checks."""
+    for idx in range(n):
+        ratio = 0.2 * (1 + idx % 4)
+        rng = random.Random(idx)
+        cfg = CaseStudyConfig(offices_max=6, robots_max=3, camera_ratio=ratio)
+        scenario = generate_case_study(cfg, rng)
+        yield f"office{idx}", scenario, simulate(scenario, steps, rng)
+        rng = random.Random(100 + idx)
+        cfg = CaseStudyConfig(offices_min=4, offices_max=5, robots_min=3, robots_max=4, camera_ratio=ratio)
+        scenario = office_with_rule(cfg, rng, CROWDED_RULE)
+        yield f"crowded{idx}", scenario, simulate(scenario, steps, rng)
+        rng = random.Random(200 + idx)
+        cfg = CaseStudyConfig(offices_min=3, offices_max=4, robots_min=3, robots_max=3, camera_ratio=ratio)
+        scenario = office_with_rule(cfg, rng, TRIO_RULE)
+        yield f"trio{idx}", scenario, simulate(scenario, steps, rng)
 
 
 def joint_consistent(scenario: Scenario, joint, before, after) -> bool:
@@ -157,6 +210,50 @@ def _check_tick_records(scenario, log, records, events, label, failures):
                 )
 
 
+def _check_run(scenario: Scenario, log: GroundTruthLog, label: str, failures: List[str]) -> Tuple[int, int]:
+    """Properties (a)-(e) over one ground-truth run and all variants: each
+    variant's tick records (see :func:`_check_tick_records`), the executed
+    completion among the consistent ones on every incomplete tick of the
+    full route, and each executed action in its agent's candidate row of
+    the approximate route. Returns the numbers of full and approximate
+    reconstructions inspected."""
+    events = oracle_events(scenario, log)
+    incomplete = _incomplete_ticks(scenario, log)
+    truth_by_tick = [{a.actor: a for a in acts} for acts in log.executed]
+
+    records = NormMonitor(scenario, variant="traditional").run(log.observed)
+    _check_tick_records(scenario, log, records, events, f"{label}/traditional", failures)
+
+    with _Recorder() as rec:
+        records = NormMonitor(scenario, variant="full").run(log.observed)
+    _check_tick_records(scenario, log, records, events, f"{label}/full", failures)
+    full_calls = len(rec.full_calls)
+    if len(rec.full_calls) != len(incomplete):
+        failures.append(f"{label}/full: {len(rec.full_calls)} reconstructions for {len(incomplete)} incomplete ticks")
+    else:
+        for t, (targets, consistent) in zip(incomplete, rec.full_calls):
+            true_joint = tuple(truth_by_tick[t][g] for g in targets)
+            if true_joint not in consistent:
+                failures.append(f"{label}/full tick {t}: executed completion not among consistent solutions")
+
+    with _Recorder() as rec:
+        records = NormMonitor(scenario, variant="approximate").run(log.observed)
+    _check_tick_records(scenario, log, records, events, f"{label}/approximate", failures)
+    approx_calls = len(rec.approx_calls)
+    if len(rec.approx_calls) != len(incomplete):
+        failures.append(
+            f"{label}/approximate: {len(rec.approx_calls)} searches for {len(incomplete)} incomplete ticks"
+        )
+    else:
+        for t, (targets, table) in zip(incomplete, rec.approx_calls):
+            for g in targets:
+                if truth_by_tick[t][g] not in table[g]:
+                    failures.append(
+                        f"{label}/approximate tick {t}: executed action of {g} missing from its candidates"
+                    )
+    return full_calls, approx_calls
+
+
 def run_soundness_suite(n_scenarios: int = 200) -> Dict:
     """Properties (a)-(e) over a batch of random domains and all variants.
 
@@ -171,42 +268,34 @@ def run_soundness_suite(n_scenarios: int = 200) -> Dict:
         rng = random.Random(cfg.seed)
         scenario = generate_random(cfg, rng)
         log = simulate(scenario, cfg.steps, rng)
-        events = oracle_events(scenario, log)
-        incomplete = _incomplete_ticks(scenario, log)
-        truth_by_tick = [{a.actor: a for a in acts} for acts in log.executed]
-
-        records = NormMonitor(scenario, variant="traditional").run(log.observed)
-        _check_tick_records(scenario, log, records, events, f"s{idx}/traditional", failures)
-
-        with _Recorder() as rec:
-            records = NormMonitor(scenario, variant="full").run(log.observed)
-        _check_tick_records(scenario, log, records, events, f"s{idx}/full", failures)
-        full_calls += len(rec.full_calls)
-        if len(rec.full_calls) != len(incomplete):
-            failures.append(f"s{idx}/full: {len(rec.full_calls)} reconstructions for {len(incomplete)} incomplete ticks")
-        else:
-            for t, (targets, consistent) in zip(incomplete, rec.full_calls):
-                true_joint = tuple(truth_by_tick[t][g] for g in targets)
-                if true_joint not in consistent:
-                    failures.append(f"s{idx}/full tick {t}: executed completion not among consistent solutions")
-
-        with _Recorder() as rec:
-            records = NormMonitor(scenario, variant="approximate").run(log.observed)
-        _check_tick_records(scenario, log, records, events, f"s{idx}/approximate", failures)
-        approx_calls += len(rec.approx_calls)
-        if len(rec.approx_calls) != len(incomplete):
-            failures.append(
-                f"s{idx}/approximate: {len(rec.approx_calls)} searches for {len(incomplete)} incomplete ticks"
-            )
-        else:
-            for t, (targets, table) in zip(incomplete, rec.approx_calls):
-                for g in targets:
-                    if truth_by_tick[t][g] not in table[g]:
-                        failures.append(
-                            f"s{idx}/approximate tick {t}: executed action of {g} missing from its candidates"
-                        )
+        full, approx = _check_run(scenario, log, f"s{idx}", failures)
+        full_calls += full
+        approx_calls += approx
     return {
         "scenarios": n_scenarios,
+        "full_calls": full_calls,
+        "approx_calls": approx_calls,
+        "failures": failures,
+    }
+
+
+def run_rule_soundness_suite(n: int, steps: int) -> Dict:
+    """The properties of :func:`run_soundness_suite` over :func:`rule_runs`.
+    The report also counts the runs whose scenario is not decomposable and
+    those with a rule of three or more body literals."""
+    failures: List[str] = []
+    full_calls = approx_calls = generic = joins = 0
+    runs = list(rule_runs(n, steps))
+    for label, scenario, log in runs:
+        full, approx = _check_run(scenario, log, label, failures)
+        full_calls += full
+        approx_calls += approx
+        generic += not scenario.decomposable
+        joins += bool(scenario.rules.joins)
+    return {
+        "runs": len(runs),
+        "not_decomposable": generic,
+        "joins": joins,
         "full_calls": full_calls,
         "approx_calls": approx_calls,
         "failures": failures,
@@ -229,19 +318,54 @@ def _brute_force_search(scenario, i, f, observed, targets):
     ]
 
 
-def run_search_oracle(min_instances: int = 100, max_seeds: int = 1500) -> Dict:
-    """Compare search() with the brute-force oracle on naturally arising
-    reconstruction instances (|targets| <= 3, <= 10 candidates per agent).
-    ``conditioned`` counts the compared instances in which an observed or
-    ground action of a target has a concurrency condition."""
-    checked = conditioned = 0
-    mismatches: List[str] = []
-    instances = []
-
+def _search_calls(scenario: Scenario, log: GroundTruthLog) -> List[Tuple]:
+    """The calls a full monitor run over the log makes to ``search``, each
+    as (scenario, i, f, observed, targets) with copies of the states."""
+    calls = []
     real_search = reconstruction.search
 
+    def spy(sc, i, f, observed, targets, cap=reconstruction.DEFAULT_SOLUTION_CAP):
+        calls.append((sc, i.copy(), f.copy(), list(observed), tuple(sorted(targets))))
+        return real_search(sc, i, f, observed, targets, cap)
+
+    reconstruction.search = spy
+    try:
+        NormMonitor(scenario, variant="full").run(log.observed)
+    finally:
+        reconstruction.search = real_search
+    return calls
+
+
+def run_search_oracle(min_instances: int = 100, max_seeds: int = 1500, min_crowded: int = 0) -> Dict:
+    """Compare search() with the brute-force oracle on naturally arising
+    reconstruction instances (|targets| <= 3, <= 10 candidates per agent):
+    ``min_instances`` from random domains, then ``min_crowded`` from small
+    crowded offices, where a rule joining two agents prunes the rows.
+    ``conditioned`` counts the compared instances in which an observed or
+    ground action of a target has a concurrency condition."""
+    report = {"instances": 0, "crowded": 0, "mismatches": [], "conditioned": 0}
+
+    def compare(instances, label, counter, quota):
+        while instances and report[counter] < quota:
+            sc, i, f, observed, targets = instances.pop()
+            if not 1 <= len(targets) <= 3:
+                continue
+            if any(len(sc.ground_actions(t)) > 10 for t in targets):
+                continue
+            got, cap_hit = reconstruction.search(sc, i, f, observed, targets)
+            assert not cap_hit
+            want = _brute_force_search(sc, i, f, observed, targets)
+            if set(got) != set(want):
+                report["mismatches"].append(
+                    f"{label} targets {targets}: search found {len(got)}, oracle {len(want)}"
+                )
+            report[counter] += 1
+            report["conditioned"] += any(
+                a.con for a in [*observed, *(b for t in targets for b in sc.ground_actions(t))]
+            )
+
     for idx in range(max_seeds):
-        if checked >= min_instances:
+        if report["instances"] >= min_instances:
             break
         cfg = RandomConfig(
             agents=2,
@@ -255,33 +379,90 @@ def run_search_oracle(min_instances: int = 100, max_seeds: int = 1500) -> Dict:
         rng = random.Random(cfg.seed)
         scenario = generate_random(cfg, rng)
         log = simulate(scenario, cfg.steps, rng)
+        compare(_search_calls(scenario, log), f"seed {cfg.seed}", "instances", min_instances)
+    small = CaseStudyConfig(offices_min=3, offices_max=4, robots_min=2, robots_max=3, camera_ratio=0.3)
+    for seed in range(max_seeds):
+        if report["crowded"] >= min_crowded:
+            break
+        scenario = crowded_office(seed, small)
+        log = simulate(scenario, 10, random.Random(seed))
+        compare(_search_calls(scenario, log), f"crowded seed {seed}", "crowded", min_crowded)
+    return report
 
-        def spy(sc, i, f, observed, targets, cap=reconstruction.DEFAULT_SOLUTION_CAP):
-            instances.append((sc, i.copy(), f.copy(), list(observed), tuple(sorted(targets))))
-            return real_search(sc, i, f, observed, targets, cap)
 
-        reconstruction.search = spy
-        try:
-            NormMonitor(scenario, variant="full").run(log.observed)
-        finally:
-            reconstruction.search = real_search
+def _office_transitions(scenario: Scenario, log: GroundTruthLog, robot: str, camera_aware: bool) -> List[set]:
+    """Per tick, the (from, to) office pairs of the robot's action that its
+    own observation allows: the observed move; for an observed NOP, staying
+    in an office with no corridor out (a robot takes NOP only when stuck);
+    and with no observation, a move along any corridor, or with
+    ``camera_aware`` only along one that no camera watches."""
+    offices = [a[1] for a in scenario.statics.with_pred("office")]
+    corridors = [a[1:] for a in scenario.statics.with_pred("corridor")]
+    stuck = {(x, x) for x in offices if not any(c[0] == x for c in corridors)}
+    out = []
+    for observed in log.observed:
+        seen = next((a for a in observed if a.actor == robot), None)
+        if seen is None:
+            out.append({(x, y) for x, y in corridors if not (camera_aware and scenario.watched(("move", robot, x, y)))})
+        elif seen.name == "move":
+            out.append({seen.args[1:]})
+        else:
+            out.append(stuck)
+    return out
 
-        while instances and checked < min_instances:
-            sc, i, f, observed, targets = instances.pop()
-            if not 1 <= len(targets) <= 3:
+
+def window_violations(scenario: Scenario, log: GroundTruthLog, camera_aware: bool = True) -> set:
+    """The office norm's violations identifiable when tick t closes, from
+    each robot's own observations of ticks 0..t+1, as (tick, occupant,
+    office). Office dynamics are independent per robot, so each robot's
+    possible (from, to) pairs at tick t are those its forward set allows
+    (reachable from its start through the ticks before) that leave it
+    where its action at t+1 can start. A violation is identifiable when
+    the occupant's office is certain and some other robot certainly moves
+    into it. The caller checks that the independence holds."""
+    home = {a[1]: a[2] for a in scenario.initial_state}
+    offices = {a[1] for a in scenario.statics.with_pred("office")}
+    ticks = len(log.executed)
+    pairs = {}
+    for robot in scenario.agents:
+        allowed = _office_transitions(scenario, log, robot, camera_aware)
+        reach, per_tick = {home[robot]}, []
+        for t in range(ticks):
+            ahead = {x for x, _ in allowed[t + 1]} if t + 1 < ticks else offices
+            per_tick.append({(x, y) for x, y in allowed[t] if x in reach and y in ahead})
+            reach = {y for x, y in allowed[t] if x in reach}
+        pairs[robot] = per_tick
+    found = set()
+    for t in range(ticks):
+        for occupant in scenario.agents:
+            where = {x for x, _ in pairs[occupant][t]}
+            if len(where) != 1:
                 continue
-            if any(len(sc.ground_actions(t)) > 10 for t in targets):
-                continue
-            got, cap_hit = real_search(sc, i, f, observed, targets)
-            assert not cap_hit
-            want = _brute_force_search(sc, i, f, observed, targets)
-            if set(got) != set(want):
-                mismatches.append(
-                    f"seed {cfg.seed} targets {targets}: search found {len(got)}, oracle {len(want)}"
-                )
-            checked += 1
-            conditioned += any(
-                a.con for a in [*observed, *(b for t in targets for b in sc.ground_actions(t))]
-            )
-        instances.clear()
-    return {"instances": checked, "mismatches": mismatches, "conditioned": conditioned}
+            (office,) = where
+            if any(
+                other != occupant and pairs[other][t] and all(x != y == office for x, y in pairs[other][t])
+                for other in scenario.agents
+            ):
+                found.add((t, occupant, office))
+    return found
+
+
+def office_independence(scenario: Scenario, log: GroundTruthLog) -> List[str]:
+    """What breaks the per-robot independence :func:`window_violations`
+    relies on, as messages: a scenario that is not decomposable, an action
+    with a concurrency condition, or a NOP by a robot that could move."""
+    problems = [] if scenario.decomposable else ["not decomposable"]
+    problems += [f"{a} has a concurrency condition" for g in scenario.agents for a in scenario.ground_actions(g) if a.con]
+    for t, executed in enumerate(log.executed):
+        for a in executed:
+            if a.name == "nop" and applicable_actions(scenario, a.actor, log.states[t]):
+                problems.append(f"tick {t}: {a} although {a.actor} could move")
+    return problems
+
+
+def violation_key(tick: int, instance) -> Tuple[int, str, str]:
+    """The office norm's violation at a tick as (tick, occupant, office),
+    from a norm instance or an oracle event: its residual ``occupant != R2``
+    and the office its move enters."""
+    ((occupant, _, _),) = instance.constraints
+    return tick, occupant, instance.action[3]

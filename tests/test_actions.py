@@ -1,6 +1,6 @@
 import itertools
 
-from conftest import crowded_office
+from support import crowded_office
 from normmon.actions import effects, joint_post, joint_pre, joint_successor
 from normmon.harness import applicable_actions
 from normmon.logic import CompiledRules, is_consistent

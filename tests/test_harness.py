@@ -23,7 +23,8 @@ from normmon.logic import is_consistent
 from normmon.norms import FULFILLED, VIOLATED
 from normmon.scenario import scenario_from_dict, scenario_hash, scenario_to_dict
 
-from conftest import crowded_office, generated_scenarios
+from conftest import generated_scenarios
+from support import crowded_office
 
 
 def count_calls(monkeypatch, original):
