@@ -132,7 +132,7 @@ def concurrent_condition_satisfied(a: ActionInstance, actions: Sequence[ActionIn
 def effects(actions: Sequence[ActionInstance], rules: CompiledRules) -> Set[Literal]:
     """Postconditions plus the preconditions they do not invalidate."""
     posts = joint_post(actions)
-    post_set = LiteralSet(posts)
+    post_set = LiteralSet(rules, posts)
     out = set(posts)
     for lit in joint_pre(actions):
         if lit in out:

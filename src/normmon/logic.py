@@ -163,18 +163,18 @@ class StaticFacts:
 
 
 class LiteralSet:
-    """Mutable signed set of ground atoms with per-predicate indexes.
-
-    Used for partial states and for the scratch sets built during search.
-    Raises no errors on inconsistent content by itself; consistency is
-    checked by the functions below.
+    """Mutable signed set of ground atoms, a partial state or a scratch set
+    of the search, over one scenario's literal index (see
+    :class:`CompiledRules`): ``signs`` maps each atom to its sign, in
+    insertion order, and ``mask`` is the OR of its literals' bits. Raises no
+    errors on inconsistent content by itself; the consistency checks below
+    do, and reject a set of another scenario's index.
     """
 
-    __slots__ = ("signs", "_by_pred")
+    __slots__ = ("index", "signs", "mask")
 
-    def __init__(self, literals: Iterable[Literal] = ()):
-        self.signs: Dict[Atom, bool] = {}
-        self._by_pred: Dict[Tuple[str, bool], Set[Atom]] = {}
+    def __init__(self, index: CompiledRules, literals: Iterable[Literal] = ()):
+        self.index, self.signs, self.mask = index, {}, 0
         for lit in literals:
             self.add(lit)
 
@@ -184,24 +184,24 @@ class LiteralSet:
         prev = self.signs.get(atom)
         if prev == sign:
             return False
-        # A complementary assertion is recorded as well; consistency checks
-        # will catch the clash before the set is ever used this way.
-        if prev is not None:
-            self._by_pred[(atom[0], prev)].discard(atom)
+        if prev is not None:  # the complement replaces it, in the mask too
+            self.mask ^= self.index.bits[(atom, prev)]
         self.signs[atom] = sign
-        self._by_pred.setdefault((atom[0], sign), set()).add(atom)
+        self.mask |= self.index.bits[literal]
         return True
 
     def discard(self, atom: Atom) -> None:
-        if atom in self.signs:
-            self._by_pred[(atom[0], self.signs[atom])].discard(atom)
-            del self.signs[atom]
+        sign = self.signs.pop(atom, None)
+        if sign is not None:
+            self.mask ^= self.index.bits[(atom, sign)]
 
     def sign(self, atom: Atom) -> Optional[bool]:
         return self.signs.get(atom)
 
-    def with_pred(self, pred: str, sign: bool) -> Iterable[Atom]:
-        return self._by_pred.get((pred, sign), ())
+    def with_pred(self, pred: str, sign: bool) -> List[Atom]:
+        """Its atoms of one predicate and sign, in the index's order."""
+        index = self.index
+        return [atom for atom, _ in index.members(self.mask & index.pred_bits.get((pred, sign), 0))]
 
     def literals(self) -> Iterator[Literal]:
         return iter(self.signs.items())
@@ -210,13 +210,9 @@ class LiteralSet:
         return frozenset(self.signs.items())
 
     def copy(self) -> "LiteralSet":
-        new = LiteralSet()
-        new.signs = dict(self.signs)
-        new._by_pred = {k: set(v) for k, v in self._by_pred.items()}
+        new = LiteralSet(self.index)
+        new.signs, new.mask = dict(self.signs), self.mask
         return new
-
-    def __contains__(self, literal: Literal) -> bool:
-        return self.signs.get(literal[0]) == literal[1]
 
     def __len__(self) -> int:
         return len(self.signs)
@@ -229,11 +225,10 @@ class LiteralSet:
             prev = self.signs.get(atom)
             if prev == sign:
                 continue
-            if prev is not None:
-                # Caller must have checked consistency first; keep both is
-                # impossible in a dict, so this is a hard error.
+            if prev is not None:  # the caller checks consistency first
                 raise ValueError(f"assume would flip asserted literal {atom}")
-            self.add(lit)
+            self.signs[atom] = sign
+            self.mask |= self.index.bits[lit]
             added.append(lit)
         return added
 
@@ -316,7 +311,7 @@ class OpenWorld:
 
     __slots__ = ("state", "statics")
 
-    def __init__(self, state: LiteralSet | _Union, statics: StaticFacts):
+    def __init__(self, state: LiteralSet, statics: StaticFacts):
         self.state, self.statics = state, statics
 
     def candidates(self, pred: str, sign: bool) -> Iterable[Atom]:
@@ -435,28 +430,26 @@ class _Filled(dict):
 
 
 class CompiledRules(tuple):
-    """Integrity rules compiled against one set of static facts; a scenario
-    compiles its rules once.
+    """Integrity rules compiled against one set of static facts, with the
+    scenario's literal index; a scenario compiles its rules once.
 
     With at most two body literals per rule, consistency is pairwise: a
     consistent set stays consistent once literals are added exactly when no
-    added literal meets its complement, fires a rule alone or with a static
-    fact, or meets a partner literal, in the set or among the additions,
-    that completes a rule. What an added ground literal needs for that is
-    worked out on its first check and kept, so later checks are dict and set
-    lookups against the set's per-predicate index. A rule with more body
-    literals is compiled once per body position, as the rest of its body
-    joined from a literal placed there (see :class:`Plan`).
+    added literal clashes (:meth:`clashes`) with a literal of the set, with
+    another added one or with itself. A rule with more body literals is
+    compiled once per body position, as the rest of its body joined from a
+    literal placed there (see :class:`Plan`).
 
-    The clash relation is also kept as a literal index. Each ground literal
-    gets a bit (``bits``) the first time it is looked up, and its clash
-    neighbourhood (``near``) is an int: the bits of the literals seen so far
-    that :meth:`clashes` returns for it, its own among them when it fires a
-    rule alone. The relation is symmetric, so a new literal also sets its
-    bit in the neighbourhoods of those it clashes with: a neighbourhood is
-    complete over the literals seen, whichever came first. An action's
-    postconditions, a frozenset, keep their :meth:`kill` mask (``kills``)
-    until the index grows.
+    Every :class:`LiteralSet` of the scenario is a mask over the literal
+    index. Each ground literal gets a bit (``bits``) the first time it is
+    looked up; ``listed`` holds the literals by bit and ``pred_bits`` the
+    mask of each (predicate, sign). Its clash neighbourhood (``near``) is
+    the bits of the literals seen that clash with it, its own among them
+    when it fires a rule alone. The relation is symmetric, so a new literal
+    also sets its bit in the neighbourhoods of those it clashes with: a
+    neighbourhood is complete over the literals seen, whichever came first.
+    An action's postconditions, a frozenset, keep their :meth:`kill` mask
+    (``kills``) until the index grows.
     """
 
     def __new__(cls, rules: Iterable[IntegrityRule], statics: StaticFacts):
@@ -475,7 +468,9 @@ class CompiledRules(tuple):
         # both signs of an atom can turn up
         self.bits: Dict[Literal, int] = _Filled(self._register)
         self.near: Dict[Literal, int] = {}
-        self._seen = (LiteralSet(), LiteralSet())
+        self.listed: List[Literal] = []
+        self.pred_bits: Dict[Tuple[str, bool], int] = {}
+        self._seen = (LiteralSet(self), LiteralSet(self))
         # an action's post set -> its kill mask, until the index grows
         self.kills: Dict[FrozenSet[Literal], int] = _Filled(self.kill)
         for rule in self:
@@ -500,10 +495,10 @@ class CompiledRules(tuple):
         literals is consistent with such a rule, and the incremental check,
         which looks only at matches that use an added literal, cannot see
         it, so scenarios reject these rules."""
-        world = OpenWorld(LiteralSet(), self.statics)
+        world = OpenWorld(LiteralSet(self), self.statics)
         return [rule for rule in self if _Body(rule.literals, rule.constraints).fires(world)]
 
-    def clashes(self, literal: Literal, state: LiteralSet | _Union | ClosedWorld) -> List[Literal]:
+    def clashes(self, literal: Literal, state: LiteralSet | ClosedWorld) -> List[Literal]:
         """The literals of ``state`` that clash with a ground literal: its
         complement, and each partner that completes a rule with it; a literal
         that fires a rule on its own also clashes with itself. With pairwise
@@ -560,7 +555,7 @@ class CompiledRules(tuple):
     def _register(self, literal: Literal) -> int:
         """The bit of a literal seen for the first time; its neighbourhood
         and those of the literals it clashes with are filled in."""
-        bit = 1 << len(self.bits)
+        bit = 1 << len(self.listed)
         near = self.near
         hood = 0
         for seen in self._seen:
@@ -571,9 +566,23 @@ class CompiledRules(tuple):
                     hood |= self.bits[other]
                     near[other] |= bit
         near[literal] = hood
+        # stored before the literal joins its seen set, which looks it up
+        self.bits[literal] = bit
+        self.listed.append(literal)
+        key = (literal[0][0], literal[1])
+        self.pred_bits[key] = self.pred_bits.get(key, 0) | bit
         self._seen[literal[1]].add(literal)
         self.kills.clear()
         return bit
+
+    def members(self, mask: int) -> List[Literal]:
+        """The literals of a mask's bits, in the index's order."""
+        found = []
+        while mask:
+            low = mask & -mask
+            found.append(self.listed[low.bit_length() - 1])
+            mask ^= low
+        return found
 
     def masks(self, literals: Iterable[Literal]) -> Tuple[int, int]:
         """The bits of some literals and the OR of their neighbourhoods.
@@ -592,19 +601,11 @@ class CompiledRules(tuple):
         mine, hood = self.masks(literals)
         return hood & ~mine
 
-    def breaks(
-        self, literal: Literal, state: _Union | ClosedWorld, world: Optional[OpenWorld | ClosedWorld]
-    ) -> bool:
-        """Does the ground literal clash with ``state`` (see :meth:`clashes`),
-        or does the rest of a body of three or more literals hold in
-        ``world``, the same set read for a join (needed only when there are
-        such rules), with the literal placed at one of its positions? A body
+    def joined(self, literal: Literal, world: OpenWorld | ClosedWorld) -> bool:
+        """Does the rest of a body of three or more literals hold in the
+        world with the ground literal placed at one of its positions? A body
         that does not hold in a consistent set can only hold once literals
         are added through an added one."""
-        if self.clashes(literal, state):
-            return True
-        if not self.joins:
-            return False
         atom, sign = literal
         return any(
             s == sign and fits.matches(atom) and rest.fires(world, [atom[p] for p in fits.first.values()])
@@ -613,46 +614,38 @@ class CompiledRules(tuple):
 
     def admits(self, base: LiteralSet, added: Dict[Atom, bool]) -> bool:
         """Does ``base`` (assumed consistent) stay consistent with ``added``,
-        literals that neither contradict nor repeat it nor each other?"""
-        union = _Union(base, added)
-        world = OpenWorld(union, self.statics) if self.joins else None
-        for literal in added.items():
-            if self.breaks(literal, union, world):
-                return False
-        return True
-
-
-class _Union:
-    """A consistent set and literals about to be added to it, read as one
-    set by :meth:`CompiledRules.clashes` and :class:`OpenWorld` without
-    building an index. It is its own ``signs``: ``get`` looks an atom up in
-    the additions, then in the set."""
-
-    __slots__ = ("state", "added", "signs")
-
-    def __init__(self, state: LiteralSet, added: Dict[Atom, bool]):
-        self.state, self.added, self.signs = state, added, self
-
-    def get(self, atom: Atom) -> Optional[bool]:
-        sign = self.added.get(atom)
-        return self.state.signs.get(atom) if sign is None else sign
-
-    def with_pred(self, pred: str, sign: bool) -> List[Atom]:
-        found = [a for a, s in self.added.items() if s == sign and a[0] == pred]
-        found.extend(self.state.with_pred(pred, sign))
-        return found
+        literals that neither contradict nor repeat it nor each other? Their
+        neighbourhoods decide every rule of at most two body literals; the
+        others are joined over ``base`` with ``added`` assumed for the
+        check."""
+        mine, hood = self.masks(added.items())
+        if hood & (base.mask | mine):
+            return False
+        if not self.joins:
+            return True
+        extra = base.assume(added.items())
+        broken = any(self.joined(literal, OpenWorld(base, self.statics)) for literal in extra)
+        base.retract(extra)
+        return not broken
 
 
 def is_consistent(literals: Iterable[Literal], rules: CompiledRules) -> bool:
     """False iff the set has a complementary pair or some rule body fires
     on it. The same check as :func:`consistent_with` from an empty state."""
-    return consistent_with(LiteralSet(), literals, rules)
+    return consistent_with(LiteralSet(rules), literals, rules)
+
+
+def _same_index(state: LiteralSet, rules: CompiledRules) -> None:
+    """A state's mask means something only in its own scenario's index."""
+    if state.index is not rules:
+        raise ValueError("the state is a mask over another scenario's literal index")
 
 
 def consistent_with(base: LiteralSet, additions: Iterable[Literal], rules: CompiledRules) -> bool:
     """Incremental check: is ``base`` (assumed consistent) still consistent
     once ``additions`` are asserted? Only interactions involving the added
     literals are checked, against the rules and their static facts."""
+    _same_index(base, rules)
     known = base.signs
     added: Dict[Atom, bool] = {}
     for atom, sign in additions:
@@ -669,14 +662,16 @@ def consistent_with(base: LiteralSet, additions: Iterable[Literal], rules: Compi
 
 def fired_through(state: Collection[Atom], literals: Iterable[Literal], rules: CompiledRules) -> Set[Literal]:
     """The ground literals, of a changed full state, through which it breaks
-    an integrity rule: each that :meth:`CompiledRules.breaks` in the state
-    read as a :class:`ClosedWorld`. A literal whose complement holds there
-    counts too. Where no literal negates a static fact, as in a scenario,
-    that happens only when two of the literals contradict each other."""
+    an integrity rule: each that clashes with the state read as a
+    :class:`ClosedWorld` (see :meth:`CompiledRules.clashes`) or completes a
+    body of three or more literals there (:meth:`CompiledRules.joined`). A
+    literal whose complement holds there counts too. Where no literal
+    negates a static fact, as in a scenario, that happens only when two of
+    the literals contradict each other."""
     if not rules:
         return set()
     world = ClosedWorld(state, rules.statics)
-    return {literal for literal in literals if rules.breaks(literal, world, world)}
+    return {literal for literal in literals if rules.clashes(literal, world) or rules.joined(literal, world)}
 
 
 def survivors(
@@ -696,23 +691,24 @@ def survivors(
     set is only checked against the literals it adds); without rules a
     clash is a complement. So the check reads the rules' literal index (see
     :class:`CompiledRules`): a post set P kills the state literals in its
-    neighbourhood less its own bits. An action's postconditions, a
-    frozenset, keep that mask; any other set is looked up literal by
-    literal. Otherwise each literal of ``state`` is checked with
+    neighbourhood less its own bits, a mask over the state's. An action's
+    postconditions, a frozenset, keep that mask; any other set is looked up
+    literal by literal. Otherwise each literal of ``state`` is checked with
     :func:`consistent_with`."""
+    _same_index(state, rules)
     if not rules.joins:
-        literals = list(state.signs.items())
-        if not literals:
-            return literals
-        # the state's literals are seen before any neighbourhood is read
-        bits = list(map(rules.bits.__getitem__, literals))
+        if not state.mask:
+            return []
         asserted, killed = rules.masks(base)
         kills = rules.kills
         for post in post_sets:
             killed |= kills[post] if post.__class__ is frozenset else rules.kill(post)
-        killed &= ~asserted
-        return [l for l, bit in zip(literals, bits) if not bit & killed]
-    known = LiteralSet(base)
+        killed &= state.mask & ~asserted
+        if not killed:
+            return list(state.signs.items())
+        dead = {atom for atom, _ in rules.members(killed)}
+        return [l for l in state.signs.items() if l[0] not in dead]
+    known = LiteralSet(rules, base)
     kept = [l for l in state.literals() if consistent_with(known, [l], rules)]
     for post in post_sets:
         if not kept:

@@ -123,7 +123,7 @@ class NormMonitor:
         self.tick = 0
         self.prev: Optional[LiteralSet] = None
         self.prev_obs: Optional[List[ActionInstance]] = None
-        self.curr = LiteralSet()
+        self.curr = LiteralSet(scenario.rules)
         if initial_knowledge == COMPLETE:
             truths = set(scenario.initial_state)
             for atom in sorted(scenario.dynamic_atoms):
@@ -210,7 +210,7 @@ class NormMonitor:
             raise RuntimeError("monitor already finished")
         acts = self._validate(observed)
         posts = joint_post(acts)
-        nxt = LiteralSet(posts)
+        nxt = LiteralSet(self.scenario.rules, posts)
         # A set keeps one sign per atom, so it is smaller exactly when two
         # postconditions contradict each other.
         if len(nxt) != len(posts):

@@ -342,8 +342,8 @@ class Scenario:
     observability: Dict
     dynamic_atoms: Tuple[Atom, ...] = ()
 
-    _by_name: Dict[str, ActionDescription] = field(default_factory=dict, repr=False)
     # Derived from the fields above, once; never serialized.
+    _by_name: Dict[str, ActionDescription] = field(init=False, compare=False, repr=False)
     dynamic_predicates: FrozenSet[str] = field(init=False, compare=False, repr=False)
     cameras: Tuple[Matcher, ...] = field(init=False, compare=False, repr=False)
     # Per description: its static preconditions as a join from the actor,
@@ -690,7 +690,7 @@ def scenario_from_dict(data: Dict) -> Scenario:
     truths = scenario.initial_state
     initial = [(atom, True) for atom in truths]
     initial += [(atom, False) for atom in scenario.dynamic_atoms if atom not in truths]
-    known = LiteralSet()
+    known = LiteralSet(scenario.rules)
     for literal in initial:
         if not consistent_with(known, [literal], scenario.rules):
             broken = next(r for r in scenario.rules if not is_consistent(initial, CompiledRules([r], statics)))

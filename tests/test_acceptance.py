@@ -59,7 +59,7 @@ class TestCriterion1WorkedExample:
             problems.append("pre-reconstruction p1 mismatch")
 
         i = closed_state(fig1, [("in", "r1", "a"), ("in", "r2", "d"), ("in", "r3", "e")])
-        f = LiteralSet(sorted(expected_p1))
+        f = LiteralSet(fig1.rules, sorted(expected_p1))
         observed = [inst("move(r1,a,b)")]
         solutions, cap_hit = search(fig1, i, f, observed, ["r2", "r3"])
         if cap_hit or sorted(tuple(str(a) for a in s) for s in solutions) != [
@@ -74,7 +74,7 @@ class TestCriterion1WorkedExample:
             problems.append("updated p1 mismatch")
 
         i = closed_state(fig1, [("in", "r1", "a"), ("in", "r2", "d"), ("in", "r3", "e")])
-        f = LiteralSet(sorted(expected_p1))
+        f = LiteralSet(fig1.rules, sorted(expected_p1))
         outcome, _ = approximate_reconstruct(fig1, i, f, observed, ["r2", "r3"])
         if outcome.candidate_counts != {"r2": 2, "r3": 1}:
             problems.append("approximate candidate table mismatch")

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from normmon import actions, logic, monitor, reconstruction
-from normmon.harness import CaseStudyConfig, generate_case_study, simulate
+from normmon.harness import CaseStudyConfig, RandomConfig, generate_case_study, generate_random, simulate
 from normmon.logic import (
     CompiledRules,
     IntegrityRule,
@@ -23,6 +23,7 @@ from normmon.logic import (
 from normmon.monitor import VARIANTS, NormMonitor
 from normmon.reconstruction import candidate_actions
 from normmon.scenario import scenario_from_dict, scenario_to_dict
+from support import TRIO_RULE, crowded_office, office_with_rule
 
 NO_STATICS = StaticFacts(())
 
@@ -134,11 +135,12 @@ RULE = IntegrityRule(
 
 
 def reference_consistent_with(base, additions, statics, rules):
-    """Brute force: False iff base plus additions has a complementary pair
-    or some rule body matches literals of base, additions and (positive)
-    static facts with every constraint true. Agrees with the incremental
-    check whenever base and the statics are consistent on their own."""
-    merged = dict(base.signs)
+    """Brute force: False iff base, a dict of atoms to signs, plus additions
+    has a complementary pair or some rule body matches literals of base,
+    additions and (positive) static facts with every constraint true.
+    Agrees with the incremental check whenever base and the statics are
+    consistent on their own."""
+    merged = dict(base)
     for atom, sign in additions:
         if merged.setdefault(atom, sign) != sign:
             return False
@@ -211,12 +213,13 @@ class TestConsistency:
         assert is_consistent(lits, CompiledRules([RULE], NO_STATICS))
 
     def test_direct_sign_contradiction(self):
-        state = LiteralSet([(("in", "r1", "a"), True)])
-        assert not consistent_with(state, [(("in", "r1", "a"), False)], CompiledRules([], NO_STATICS))
+        rules = CompiledRules([], NO_STATICS)
+        state = LiteralSet(rules, [(("in", "r1", "a"), True)])
+        assert not consistent_with(state, [(("in", "r1", "a"), False)], rules)
 
     def test_consistent_with_rejects_rule_completion(self):
-        state = LiteralSet([(("in", "r1", "a"), True)])
         rules = CompiledRules([RULE], NO_STATICS)
+        state = LiteralSet(rules, [(("in", "r1", "a"), True)])
         assert not consistent_with(state, [(("in", "r1", "b"), True)], rules)
         assert consistent_with(state, [(("in", "r2", "b"), True)], rules)
 
@@ -224,12 +227,13 @@ class TestConsistency:
     @settings(max_examples=200)
     def test_incremental_check_agrees_with_from_scratch_check(self, base, extra):
         rules = [RULE]
-        state = LiteralSet([(a, True) for a in base])
+        compiled = CompiledRules(rules, NO_STATICS)
+        state = LiteralSet(compiled, [(a, True) for a in base])
         added = [(a, True) for a in extra]
-        if not reference_consistent_with(LiteralSet(), state.literals(), NO_STATICS, rules):
+        if not reference_consistent_with({}, state.literals(), NO_STATICS, rules):
             return
-        expected = reference_consistent_with(state, added, NO_STATICS, rules)
-        assert consistent_with(state, added, CompiledRules(rules, NO_STATICS)) == expected
+        expected = reference_consistent_with(state.signs, added, NO_STATICS, rules)
+        assert consistent_with(state, added, compiled) == expected
 
     @given(
         st.lists(st.sampled_from(sorted(RULE_SHAPES)), min_size=1, max_size=3, unique=True),
@@ -253,14 +257,14 @@ class TestConsistency:
         statics = StaticFacts(statics)
         compiled = CompiledRules(rules, statics)
         # Keep the base consistent, as the incremental check assumes.
-        state = LiteralSet()
+        state = LiteralSet(compiled)
         for literal in base:
-            if reference_consistent_with(state, [literal], statics, rules):
+            if reference_consistent_with(state.signs, [literal], statics, rules):
                 state.add(literal)
         # One compiled set across the queries, so literals checked before
         # are answered from what was kept.
         for additions in queries:
-            expected = reference_consistent_with(state, additions, statics, rules)
+            expected = reference_consistent_with(state.signs, additions, statics, rules)
             assert consistent_with(state, additions, compiled) == expected
 
     def test_is_consistent_is_the_check_from_an_empty_state(self):
@@ -268,29 +272,29 @@ class TestConsistency:
         statics = StaticFacts([("s", "a")])
         compiled = CompiledRules(rules, statics)
         for lits in ([(("q", "a"), True)], [(("p", "b", "b"), True)], [(("q", "b"), True)]):
-            assert is_consistent(lits, compiled) == consistent_with(LiteralSet(), lits, compiled)
-            assert is_consistent(lits, compiled) == reference_consistent_with(
-                LiteralSet(), lits, statics, rules
-            )
+            assert is_consistent(lits, compiled) == consistent_with(LiteralSet(compiled), lits, compiled)
+            assert is_consistent(lits, compiled) == reference_consistent_with({}, lits, statics, rules)
 
     def test_three_literal_rule_takes_the_join(self, monkeypatch):
         runs = []
         rows = logic.Plan.rows
         monkeypatch.setattr(logic.Plan, "rows", lambda plan, *a: runs.append(plan) or rows(plan, *a))
         rules = CompiledRules([RULE_SHAPES["three literals"]], NO_STATICS)
-        state = LiteralSet([(("q", "b"), True), (("in", "a", "b"), False)])
+        state = LiteralSet(rules, [(("q", "b"), True), (("in", "a", "b"), False)])
         assert not consistent_with(state, [(("p", "a", "b"), True)], rules)
+        # The additions were assumed for the join only.
+        assert state.snapshot() == {(("q", "b"), True), (("in", "a", "b"), False)}
         assert runs
 
     def test_literal_that_completes_a_rule_with_itself_fires(self):
         rules = [_rule((("p", "X"), True), (("p", "Y"), True))]
         compiled = CompiledRules(rules, NO_STATICS)
         # A literal that fires clashes with itself, even in an empty set.
-        assert list(compiled.clashes((("p", "a"), True), LiteralSet())) == [(("p", "a"), True)]
-        assert list(compiled.clashes((("p", "a"), False), LiteralSet())) == []
+        assert list(compiled.clashes((("p", "a"), True), LiteralSet(compiled))) == [(("p", "a"), True)]
+        assert list(compiled.clashes((("p", "a"), False), LiteralSet(compiled))) == []
         assert not is_consistent([(("p", "a"), True)], compiled)
         assert is_consistent([(("p", "a"), False)], compiled)
-        assert not reference_consistent_with(LiteralSet(), [(("p", "a"), True)], NO_STATICS, rules)
+        assert not reference_consistent_with({}, [(("p", "a"), True)], NO_STATICS, rules)
 
     def test_compiled_rules_skip_unify(self, fig1, monkeypatch):
         # A scenario fresh from its file, so nothing is kept from other tests.
@@ -298,9 +302,9 @@ class TestConsistency:
         for agent in scenario.agents:
             scenario.ground_actions(agent)
         i = LiteralSet(
-            [(atom, atom in scenario.initial_state) for atom in scenario.dynamic_atoms]
+            scenario.rules, [(atom, atom in scenario.initial_state) for atom in scenario.dynamic_atoms]
         )
-        f = LiteralSet([(("in", "r1", "b"), True), (("in", "r3", "a"), True)])
+        f = LiteralSet(scenario.rules, [(("in", "r1", "b"), True), (("in", "r3", "a"), True)])
         calls = []
         monkeypatch.setattr(logic, "unify", lambda *a: calls.append(a) or unify(*a))
         rows = {t: candidate_actions(scenario, t, i, f) for t in ("r2", "r3")}
@@ -313,11 +317,11 @@ class TestConsistency:
 def _consistent_part(literals, statics, rules, base=()):
     """The literals, in order, that keep ``base`` plus those kept so far
     consistent (by brute force); returns only the kept ones."""
-    union = LiteralSet(base)
+    union = dict(base)
     kept = []
     for literal in literals:
         if reference_consistent_with(union, [literal], statics, rules):
-            union.add(literal)
+            union[literal[0]] = literal[1]
             kept.append(literal)
     return kept
 
@@ -328,9 +332,7 @@ def _with_firing(literals, statics, rules, base):
     kept = _consistent_part(literals, statics, rules, base)
     atoms = {atom for atom, _ in list(base) + kept}
     for literal in literals:
-        if literal[0] not in atoms and not reference_consistent_with(
-            LiteralSet(), [literal], statics, rules
-        ):
+        if literal[0] not in atoms and not reference_consistent_with({}, [literal], statics, rules):
             atoms.add(literal[0])
             kept.append(literal)
     return kept
@@ -339,7 +341,7 @@ def _with_firing(literals, statics, rules, base):
 def per_literal_survivors(state, base, post_sets, rules):
     """Each literal of the state checked on its own with ``consistent_with``
     against the base, and against the base plus each post set."""
-    unions = [LiteralSet(base)] + [LiteralSet(list(base) + list(post)) for post in post_sets]
+    unions = [LiteralSet(rules, base)] + [LiteralSet(rules, list(base) + list(post)) for post in post_sets]
     return [
         literal
         for literal in state.literals()
@@ -390,7 +392,7 @@ class TestSurvivors:
         rules = [RULE_SHAPES[name] for name in shapes]
         statics = StaticFacts(statics)
         compiled = CompiledRules(rules, statics)
-        state = LiteralSet(_consistent_part(state_literals, statics, rules))
+        state = LiteralSet(compiled, _consistent_part(state_literals, statics, rules))
         base = _consistent_part(base_literals, statics, rules)
         # Post sets may hold literals that fire a rule on their own.
         post_sets = [_with_firing(post, statics, rules, base) for post in posts]
@@ -410,7 +412,7 @@ class TestSurvivors:
 
     def test_pairwise_rules_make_no_per_literal_check(self, monkeypatch):
         rules = CompiledRules([RULE], NO_STATICS)
-        state = LiteralSet([(("in", "r", "a"), True), (("in", "s", "a"), True)])
+        state = LiteralSet(rules, [(("in", "r", "a"), True), (("in", "s", "a"), True)])
         calls = self._counting(monkeypatch)
         got = survivors(state, [(("in", "r", "b"), False)], [[(("in", "s", "b"), True)]], rules)
         assert got == [(("in", "r", "a"), True)]
@@ -418,7 +420,7 @@ class TestSurvivors:
 
     def test_three_literal_rule_takes_the_per_literal_path(self, monkeypatch):
         rules = CompiledRules([RULE_SHAPES["three literals"]], NO_STATICS)
-        state = LiteralSet([(("in", "a", "b"), False), (("q", "a"), True)])
+        state = LiteralSet(rules, [(("in", "a", "b"), False), (("q", "a"), True)])
         base = [(("q", "b"), True)]
         post_sets = [[(("p", "a", "b"), True)]]
         expected = per_literal_survivors(state, base, post_sets, rules)
@@ -432,7 +434,7 @@ class TestSurvivors:
         rules = [RULE_SHAPES["one literal"], RULE]
         compiled = CompiledRules(rules, NO_STATICS)
         state = LiteralSet(
-            [(("in", "r", "a"), True), (("q", "a"), True), (("p", "a", "b"), False)]
+            compiled, [(("in", "r", "a"), True), (("q", "a"), True), (("p", "a", "b"), False)]
         )
         # The second post set holds p(c,c), which fires the one-literal rule.
         post_sets = [[(("in", "r", "c"), True)], [(("p", "c", "c"), True), (("p", "a", "b"), True)]]
@@ -472,7 +474,7 @@ class TestSurvivors:
         statics = StaticFacts(statics)
         compiled = CompiledRules(rules, statics)
         for state_literals, base_literals, posts in calls:
-            state = LiteralSet(_consistent_part(state_literals, statics, rules))
+            state = LiteralSet(compiled, _consistent_part(state_literals, statics, rules))
             base = _consistent_part(base_literals, statics, rules)
             # An action's post set is a frozenset, whose kill mask is kept; a
             # joint one is a set, looked up literal by literal.
@@ -486,7 +488,7 @@ class TestSurvivors:
     @pytest.mark.parametrize("rules", [[RULE], []], ids=["office rule", "no rules"])
     def test_literals_seen_before_make_no_clashes_call(self, rules, monkeypatch):
         compiled = CompiledRules(rules, NO_STATICS)
-        state = LiteralSet([(("in", "r", "a"), True), (("in", "s", "a"), True), (("in", "s", "b"), False)])
+        state = LiteralSet(compiled, [(("in", "r", "a"), True), (("in", "s", "a"), True), (("in", "s", "b"), False)])
         base = {(("in", "r", "b"), False)}
         post_sets = [frozenset([(("in", "s", "b"), True)]), {(("in", "r", "c"), True)}]
         first = survivors(state, base, post_sets, compiled)
@@ -570,7 +572,7 @@ def test_monitor_records_match_the_brute_force_checker(monkeypatch):
         monkeypatch.setattr(
             module,
             "consistent_with",
-            lambda base, additions, rules: reference_consistent_with(base, additions, rules.statics, rules),
+            lambda base, additions, rules: reference_consistent_with(base.signs, additions, rules.statics, rules),
         )
     reference = [
         [NormMonitor(s, variant=v).run(log.observed) for v in VARIANTS] for s, log in runs
@@ -579,22 +581,126 @@ def test_monitor_records_match_the_brute_force_checker(monkeypatch):
     assert sum(len(r.reconstructed) for per_run in compiled for rs in per_run for r in rs) > 20
 
 
+def _indexes():
+    """Scenarios whose literal indexes the state tests draw on, with the
+    literals they draw: an office scenario (a pairwise rule), a crowded
+    office (a rule joining two robots), an office under a rule of three body
+    literals and a random one (no rules). The literals are the dynamic
+    atoms of each sign and some atoms no action mentions, so that a
+    sequence also registers literals first seen part-way."""
+    small = CaseStudyConfig(offices_min=3, offices_max=4, robots_min=2, robots_max=3)
+    scenarios = {
+        "office": generate_case_study(small, random.Random(1)),
+        "crowded": crowded_office(2, small),
+        "three-literal": office_with_rule(small, random.Random(3), TRIO_RULE),
+        "rule-free": generate_random(RandomConfig(agents=3, actions=4), random.Random(4)),
+    }
+    out = {}
+    for name, scenario in scenarios.items():
+        atoms = sorted(scenario.dynamic_atoms) + [("in", "z9", "o1"), ("q", "z9")]
+        out[name] = (scenario, [(atom, sign) for atom in atoms for sign in (True, False)])
+    return out
+
+
+INDEXES = _indexes()
+
+state_steps = st.lists(
+    st.tuples(
+        st.sampled_from(["add", "assume", "discard", "retract", "copy"]),
+        st.lists(st.integers(0, 10_000), min_size=1, max_size=4),
+    ),
+    max_size=25,
+)
+
+
 class TestLiteralSet:
     def test_assume_returns_only_new_literals_and_retract_undoes(self):
-        s = LiteralSet([(("p", "a"), True)])
+        s = LiteralSet(CompiledRules([], NO_STATICS), [(("p", "a"), True)])
         added = s.assume([(("p", "a"), True), (("q", "b"), False)])
         assert added == [(("q", "b"), False)]
         s.retract(added)
         assert s.snapshot() == frozenset({(("p", "a"), True)})
 
     def test_sign_lookup(self):
-        s = LiteralSet([(("p", "a"), True), (("q", "b"), False)])
+        s = LiteralSet(CompiledRules([], NO_STATICS), [(("p", "a"), True), (("q", "b"), False)])
         assert s.sign(("p", "a")) is True
         assert s.sign(("q", "b")) is False
         assert s.sign(("r", "c")) is None
 
     def test_copy_is_independent(self):
-        s = LiteralSet([(("p", "a"), True)])
+        s = LiteralSet(CompiledRules([], NO_STATICS), [(("p", "a"), True)])
         t = s.copy()
         t.add((("q", "b"), True))
         assert s.sign(("q", "b")) is None
+        assert s.mask != t.mask
+
+    @pytest.mark.parametrize("name", sorted(INDEXES))
+    @given(steps=state_steps)
+    @settings(max_examples=100, deadline=None)
+    def test_the_mask_and_with_pred_follow_the_signs(self, name, steps):
+        scenario, pool = INDEXES[name]
+        index = scenario.rules
+        state = LiteralSet(index)
+        assumed = []
+        for op, picks in steps:
+            literals = [pool[k % len(pool)] for k in picks]
+            if op == "add":
+                state.add(literals[0])
+            elif op == "assume":
+                fresh = {}
+                for atom, sign in literals:
+                    if state.signs.get(atom, sign) == sign and fresh.setdefault(atom, sign) == sign:
+                        continue
+                    fresh = None
+                    break
+                if fresh is not None:
+                    assumed.append(state.assume(fresh.items()))
+            elif op == "discard":
+                state.discard(literals[0][0])
+            elif op == "retract" and assumed:
+                state.retract(assumed.pop())
+            elif op == "copy":
+                before = (dict(state.signs), state.mask)
+                copy = state.copy()
+                copy.add(literals[0])
+                assert (state.signs, state.mask) == before
+                state = copy
+            mask = 0
+            for literal in state.literals():
+                mask |= index.bits[literal]
+            assert state.mask == mask
+            for pred in {atom[0] for atom, _ in pool}:
+                for sign in (True, False):
+                    atoms = [a for a, s in state.signs.items() if s == sign and a[0] == pred]
+                    assert state.with_pred(pred, sign) == sorted(atoms, key=lambda a: index.bits[(a, sign)])
+
+
+class TestOneIndex:
+    def test_a_rule_check_on_a_state_of_another_index_raises(self, fig1):
+        other = scenario_from_dict(scenario_to_dict(fig1))
+        state = LiteralSet(fig1.rules, [(("in", "r1", "a"), True)])
+        with pytest.raises(ValueError, match="another scenario's literal index"):
+            consistent_with(state, [(("in", "r1", "b"), True)], other.rules)
+        with pytest.raises(ValueError, match="another scenario's literal index"):
+            survivors(state, [(("in", "r1", "b"), True)], (), other.rules)
+        assert not consistent_with(state, [(("in", "r1", "b"), True)], fig1.rules)
+
+    def test_a_warm_office_pass_makes_no_clashes_call(self, monkeypatch):
+        runs = []
+        for idx in range(4):
+            rng = random.Random(idx)
+            scenario = generate_case_study(CaseStudyConfig(camera_ratio=0.25 * idx, steps=40), rng)
+            runs.append((scenario, simulate(scenario, 40, rng)))
+
+        def monitor_pass():
+            return [NormMonitor(s, variant=v).run(log.observed) for s, log in runs for v in VARIANTS]
+
+        cold = monitor_pass()
+        calls = []
+        clashes = CompiledRules.clashes
+        monkeypatch.setattr(CompiledRules, "clashes", lambda self, *a: calls.append(a) or clashes(self, *a))
+        assert monitor_pass() == cold
+        # Every rule check reads the index; only a literal seen for the
+        # first time walks the probes.
+        assert calls == []
+        assert sum(len(r.reconstructed) for records in cold for r in records) > 50

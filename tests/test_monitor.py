@@ -163,7 +163,7 @@ class TestReconstructingTicks:
             # Each verdict judges an instance of the state the record closed
             # its tick with: the very object the norm interned for it.
             relevant = relevant_instances(
-                fig1.norms, LiteralSet(record.state_snapshot), fig1.statics
+                fig1.norms, LiteralSet(fig1.rules, record.state_snapshot), fig1.statics
             )
             for v in record.verdicts:
                 assert any(v.instance is inst for inst in relevant)

@@ -19,6 +19,7 @@ from normmon.harness import (
 )
 from normmon.logic import (
     ClosedWorld,
+    CompiledRules,
     LiteralSet,
     OpenWorld,
     Plan,
@@ -45,8 +46,13 @@ from normmon.norms import (
 )
 
 
+def _state(literals):
+    """A partial state over the index of a scenario without rules."""
+    return LiteralSet(CompiledRules([], StaticFacts([])), literals)
+
+
 def collision_instances(fig1, state_lits):
-    p = LiteralSet(state_lits)
+    p = LiteralSet(fig1.rules, state_lits)
     return relevant_instances(fig1.norms, p, fig1.statics)
 
 
@@ -144,7 +150,7 @@ class TestJudging:
         moves = [inst("move(r3,e,a)"), inst("move(r2,d,a)")]
         (verdict,) = [
             v
-            for v in check_norms(fig1, LiteralSet(state), moves, [])
+            for v in check_norms(fig1, LiteralSet(fig1.rules, state), moves, [])
             if v.instance.action[3] == "a"
         ]
         assert (verdict.status, verdict.witness, verdict.culprit) == (VIOLATED, moves[1], "r2")
@@ -195,19 +201,19 @@ class TestInterning:
         condition = [(("q", "a"), True), (("p", "a", "b"), False)]
         norms = _norms(condition, [])
         statics = StaticFacts([])
-        holds = LiteralSet([(("q", "a"), True), (("p", "a", "b"), False)])
+        holds = _state([(("q", "a"), True), (("p", "a", "b"), False)])
         first = relevant_instances(norms, holds, statics)
         holds.add((("q", "b"), True))
         again = relevant_instances(norms, holds, statics)
         assert len(first) == 2 and all(x is y for x, y in zip(first, again))
-        assert relevant_instances(norms, LiteralSet([(("q", "a"), True)]), statics) == []
+        assert relevant_instances(norms, _state([(("q", "a"), True)]), statics) == []
 
     def test_norms_never_share_an_instance(self):
         # n and m control the same action with no residuals: equal
         # instances, one per norm.
         condition = [(("q", "X"), True)]
         norms = _norms(condition, [])
-        got = relevant_instances(norms, LiteralSet([(("q", "a"), True)]), StaticFacts([]))
+        got = relevant_instances(norms, _state([(("q", "a"), True)]), StaticFacts([]))
         n, m = got
         assert (n.action, n.constraints) == (m.action, m.constraints)
         assert n is not m and (n.norm, m.norm) == (norms[0], norms[1])
@@ -463,7 +469,7 @@ class TestConditionMatching:
         None,
     )
     def test_open_world_agrees_with_brute_force(self, condition, constraints, signs, statics, seed):
-        state = LiteralSet(signs.items())
+        state = _state(signs.items())
         world = open_world_order(state, statics)
         expected = reference_matches(condition, constraints, seed, world)
         assert open_matches(condition, constraints, state, statics, seed) == expected
@@ -525,7 +531,7 @@ class TestConditionMatching:
     @example([(("q", "a"), True)], [("a", "=", "b")], {("q", "a"): True}, StaticFacts([]))
     def test_instances_agree_with_brute_force(self, condition, constraints, signs, statics):
         norms = _norms(condition, constraints)
-        state = LiteralSet(signs.items())
+        state = _state(signs.items())
         got = relevant_instances(norms, state, statics)
         expected = reference_instances(norms, open_world_order(state, statics))
         assert [(i.norm_id, i.action, i.constraints) for i in got] == expected

@@ -34,7 +34,7 @@ from normmon.scenario import scenario_from_dict, scenario_to_dict
 def closed_state(scenario, truths):
     truths = set(truths)
     return LiteralSet(
-        [(atom, atom in truths) for atom in sorted(scenario.dynamic_atoms)]
+        scenario.rules, [(atom, atom in truths) for atom in sorted(scenario.dynamic_atoms)]
     )
 
 
@@ -53,6 +53,7 @@ def worked_example(fig1, inst):
         fig1, [("in", "r1", "a"), ("in", "r2", "d"), ("in", "r3", "e")]
     )
     f = LiteralSet(
+        fig1.rules,
         [
             (("in", "r1", "b"), True),
             (("in", "r1", "a"), False),
@@ -239,7 +240,7 @@ class TestPairwiseCore:
         # the move into e once r3 has committed.
         crowded = _crowded(fig1)
         i = closed_state(crowded, [("in", "r1", "d"), ("in", "r2", "a"), ("in", "r3", "c")])
-        f = LiteralSet([(("in", "r1", "a"), True), (("in", "r1", "d"), False)])
+        f = LiteralSet(crowded.rules, [(("in", "r1", "a"), True), (("in", "r1", "d"), False)])
         i2, f2 = i.copy(), f.copy()
         assert len(candidate_actions(crowded, "r2", i, f)) == 2
         table, committed = approximate_search(crowded, i, f, ["r2", "r3"])
@@ -253,7 +254,7 @@ class TestPairwiseCore:
     ):
         i, f, observed, targets = worked_example
         post_sets = [a.post for t in targets for a in candidate_actions(fig1, t, i, f)]
-        small = LiteralSet([l for l in i.literals() if l[1]])
+        small = LiteralSet(fig1.rules, [l for l in i.literals() if l[1]])
         assert len(small) < len(i)
         counts, results = [], []
         for state in (small, i):
@@ -269,7 +270,7 @@ class TestPairwiseCore:
         assert counts[0] == counts[1]
         # The same literals as one consistent_with check per literal.
         base = joint_post(observed)
-        unions = [LiteralSet(base)] + [LiteralSet(list(base) + list(p)) for p in post_sets]
+        unions = [LiteralSet(fig1.rules, base)] + [LiteralSet(fig1.rules, [*base, *p]) for p in post_sets]
         assert results[1] == [
             l
             for l in i.literals()
@@ -305,7 +306,7 @@ def row_scenarios(fig1):
 def _partial_state(scenario, atoms, draws):
     """The drawn literals over ``atoms`` that keep the state consistent,
     added one at a time."""
-    state = LiteralSet()
+    state = LiteralSet(scenario.rules)
     for k, sign in draws:
         literal = (atoms[k % len(atoms)], sign)
         if logic.consistent_with(state, [literal], scenario.rules):
@@ -333,20 +334,21 @@ class TestRowKernel:
         atoms += [(a[0], "z9", *a[2:]) if len(a) > 1 else (a[0] + "z",) for a in atoms[:3]]
         i = _partial_state(cold, atoms, i_draws)
         f = _partial_state(cold, atoms, f_draws)
+        # The same states over the warm scenario's index.
+        i_warm, f_warm = LiteralSet(warm.rules, i.literals()), LiteralSet(warm.rules, f.literals())
         for agent in cold.agents:
             expected = [a for a in cold.coherent_actions(agent) if action_fits(a, i, f, cold)]
             assert candidate_actions(cold, agent, i, f) == expected
-            assert candidate_actions(warm, agent, i, f) == expected
+            assert candidate_actions(warm, agent, i_warm, f_warm) == expected
         # Two singleton rows may not fit together in states no run reaches.
-        i2, f2 = i.copy(), f.copy()
         try:
-            expected = _recomputing_fixpoint(cold, i2, f2, cold.agents)
+            expected = _recomputing_fixpoint(cold, i, f, cold.agents)
         except KnowledgeFault:
             with pytest.raises(KnowledgeFault):
-                approximate_search(warm, i, f, cold.agents)
+                approximate_search(warm, i_warm, f_warm, cold.agents)
             return
-        assert approximate_search(warm, i, f, cold.agents) == expected
-        assert (i.snapshot(), f.snapshot()) == (i2.snapshot(), f2.snapshot())
+        assert approximate_search(warm, i_warm, f_warm, cold.agents) == expected
+        assert (i_warm.snapshot(), f_warm.snapshot()) == (i.snapshot(), f.snapshot())
 
     def test_scenarios_take_the_paths_they_stand_for(self, row_scenarios):
         scenarios = {name: scenario for name, (_, scenario) in row_scenarios.items()}
@@ -565,7 +567,7 @@ class TestApproximateReconstruction:
         # are singletons that no run can execute together.
         crowded = _crowded(fig1)
         i = closed_state(crowded, [("in", "r1", "d"), ("in", "r2", "a"), ("in", "r3", "c")])
-        f = LiteralSet([(("in", "r2", "e"), False)])
+        f = LiteralSet(crowded.rules, [(("in", "r2", "e"), False)])
         observed = [crowded.instance_from_schema(("move", "r1", "d", "a"))]
         rows = {}
         for t in ("r2", "r3"):
