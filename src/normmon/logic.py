@@ -624,9 +624,11 @@ class CompiledRules(tuple):
         if not self.joins:
             return True
         extra = base.assume(added.items())
-        broken = any(self.joined(literal, OpenWorld(base, self.statics)) for literal in extra)
-        base.retract(extra)
-        return not broken
+        try:
+            world = OpenWorld(base, self.statics)
+            return not any(self.joined(literal, world) for literal in extra)
+        finally:
+            base.retract(extra)
 
 
 def is_consistent(literals: Iterable[Literal], rules: CompiledRules) -> bool:
