@@ -73,7 +73,7 @@ def search_oracle_report():
 def rule_soundness_report():
     from support import run_rule_soundness_suite
 
-    return run_rule_soundness_suite(16, 30)
+    return run_rule_soundness_suite(12, 30)
 
 
 def small_random_scenario(seed, agents=(2, 4), actions=(2, 6)):

@@ -581,7 +581,8 @@ def test_monitor_records_match_the_brute_force_checker(monkeypatch):
     assert sum(len(r.reconstructed) for per_run in compiled for rs in per_run for r in rs) > 20
 
 
-def _indexes():
+@pytest.fixture(scope="module")
+def state_indexes():
     """Scenarios whose literal indexes the state tests draw on, with the
     literals they draw: an office scenario (a pairwise rule), a crowded
     office (a rule joining two robots), an office under a rule of three body
@@ -601,8 +602,6 @@ def _indexes():
         out[name] = (scenario, [(atom, sign) for atom in atoms for sign in (True, False)])
     return out
 
-
-INDEXES = _indexes()
 
 state_steps = st.lists(
     st.tuples(
@@ -634,11 +633,11 @@ class TestLiteralSet:
         assert s.sign(("q", "b")) is None
         assert s.mask != t.mask
 
-    @pytest.mark.parametrize("name", sorted(INDEXES))
+    @pytest.mark.parametrize("name", ["office", "crowded", "three-literal", "rule-free"])
     @given(steps=state_steps)
     @settings(max_examples=100, deadline=None)
-    def test_the_mask_and_with_pred_follow_the_signs(self, name, steps):
-        scenario, pool = INDEXES[name]
+    def test_the_mask_and_with_pred_follow_the_signs(self, state_indexes, name, steps):
+        scenario, pool = state_indexes[name]
         index = scenario.rules
         state = LiteralSet(index)
         assumed = []

@@ -1,10 +1,12 @@
-"""Property suites over batches of random domains.
+"""Property suites over batches of random domains and of scenarios with
+integrity rules.
 
 Every monitor claim must be backed by ground truth: literals held in
 partial states, reconstructed actions, identified verdicts, discovered
 culprits, and the membership of the truly executed actions in the solution
 sets. The exhaustive search is additionally checked against a brute-force
-enumerate-and-filter oracle.
+enumerate-and-filter oracle, and on office runs what the monitors identify
+against what each robot's own observations make certain.
 """
 
 import random
@@ -36,9 +38,9 @@ class TestRuleSoundness:
         assert rule_soundness_report["failures"] == []
 
     def test_each_rule_path_was_inspected(self, rule_soundness_report):
-        assert rule_soundness_report["runs"] == 48
-        assert rule_soundness_report["not_decomposable"] >= 30
-        assert rule_soundness_report["joins"] >= 15
+        assert rule_soundness_report["runs"] == 36
+        assert rule_soundness_report["not_decomposable"] >= 24
+        assert rule_soundness_report["joins"] >= 12
         assert rule_soundness_report["full_calls"] > 500
         assert rule_soundness_report["approx_calls"] == rule_soundness_report["full_calls"]
 
