@@ -672,8 +672,8 @@ def fired_through(state: Collection[Atom], literals: Iterable[Literal], rules: C
     the literals contradict each other."""
     if not rules:
         return set()
-    world = ClosedWorld(state, rules.statics)
-    return {literal for literal in literals if rules.clashes(literal, world) or rules.joined(literal, world)}
+    world, joins = ClosedWorld(state, rules.statics), rules.joins
+    return {literal for literal in literals if rules.clashes(literal, world) or joins and rules.joined(literal, world)}
 
 
 def survivors(
