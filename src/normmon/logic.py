@@ -637,17 +637,16 @@ def is_consistent(literals: Iterable[Literal], rules: CompiledRules) -> bool:
     return consistent_with(LiteralSet(rules), literals, rules)
 
 
-def _same_index(state: LiteralSet, rules: CompiledRules) -> None:
-    """A state's mask means something only in its own scenario's index."""
-    if state.index is not rules:
-        raise ValueError("the state is a mask over another scenario's literal index")
+# A state's mask means something only in its own scenario's index.
+_OTHER_INDEX = "the state is a mask over another scenario's literal index"
 
 
 def consistent_with(base: LiteralSet, additions: Iterable[Literal], rules: CompiledRules) -> bool:
     """Incremental check: is ``base`` (assumed consistent) still consistent
     once ``additions`` are asserted? Only interactions involving the added
     literals are checked, against the rules and their static facts."""
-    _same_index(base, rules)
+    if base.index is not rules:
+        raise ValueError(_OTHER_INDEX)
     known = base.signs
     added: Dict[Atom, bool] = {}
     for atom, sign in additions:
@@ -697,7 +696,8 @@ def survivors(
     postconditions, a frozenset, keep that mask; any other set is looked up
     literal by literal. Otherwise each literal of ``state`` is checked with
     :func:`consistent_with`."""
-    _same_index(state, rules)
+    if state.index is not rules:
+        raise ValueError(_OTHER_INDEX)
     if not rules.joins:
         if not state.mask:
             return []
