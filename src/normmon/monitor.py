@@ -64,10 +64,26 @@ class TickRecord:
     reconstruction_seconds: float = field(default=0.0, compare=False)
 
 
-def invariant_literals(p: LiteralSet, eff: Set[Literal], scenario: Scenario) -> List[Literal]:
-    """Literals of p not modified by a fully observed concurrent action
-    with effects ``eff``."""
-    return survivors(p, eff, (), scenario.rules)
+def invariant_literals(p: LiteralSet, eff: Set[Literal], scenario: Scenario) -> LiteralSet:
+    """The successor of p under a fully observed concurrent action with
+    effects ``eff``: the literals of p it does not modify, plus ``eff``.
+    Unless a rule has three or more body literals, those are p less the
+    literals in the kill mask of ``eff`` (see :func:`survivors`), so the
+    successor is a copy of p with those deleted. No literal left
+    contradicts one of ``eff``, so ``eff`` joins it as it is."""
+    rules = scenario.rules
+    mine, hood = rules.masks(eff)
+    if rules.joins:
+        nxt = LiteralSet(rules, survivors(p, eff, (), rules))
+    else:
+        killed = hood & ~mine & p.mask
+        nxt = p.copy()
+        for atom, _ in rules.members(killed):
+            del nxt.signs[atom]
+        nxt.mask ^= killed
+    nxt.signs.update(eff)
+    nxt.mask |= mine
+    return nxt
 
 
 def check_norms(
@@ -136,8 +152,10 @@ class NormMonitor:
 
     # -- plumbing ---------------------------------------------------------
 
-    def _validate(self, observed: Sequence[ActionInstance]) -> List[ActionInstance]:
-        acts = sorted(observed, key=lambda a: a.schema)
+    def _validate(self, acts: List[ActionInstance], pre: Set[Literal]) -> None:
+        """Raise :class:`SensorFault` unless the observed actions, in schema
+        order, fit together and fit the current state; ``pre`` is their
+        joint precondition."""
         actors = [a.actor for a in acts]
         if len(set(actors)) != len(actors):
             raise SensorFault(f"two observed actions share an actor: {actors}")
@@ -149,12 +167,11 @@ class NormMonitor:
             self.scenario.description(a.name)
         # A consistent joint precondition has consistent parts, so each
         # action is checked alone only to say which one failed.
-        if not consistent_with(self.curr, joint_pre(acts), rules):
+        if not consistent_with(self.curr, pre, rules):
             for a in acts:
                 if not consistent_with(self.curr, a.pre, rules):
                     raise SensorFault(f"observed action {a} contradicts the current state")
             raise SensorFault("observed actions have jointly inconsistent preconditions")
-        return acts
 
     def _reconstruct(
         self, acts: List[ActionInstance]
@@ -208,20 +225,18 @@ class NormMonitor:
     def advance(self, observed: Sequence[ActionInstance]) -> Optional[TickRecord]:
         if self._finished:
             raise RuntimeError("monitor already finished")
-        acts = self._validate(observed)
-        posts = joint_post(acts)
-        nxt = LiteralSet(self.scenario.rules, posts)
-        # A set keeps one sign per atom, so it is smaller exactly when two
-        # postconditions contradict each other.
-        if len(nxt) != len(posts):
+        acts = sorted(observed, key=lambda a: a.schema)
+        pre, posts = joint_pre(acts), joint_post(acts)
+        self._validate(acts, pre)
+        # Two postconditions contradict each other exactly when they share
+        # an atom.
+        if len({atom for atom, _ in posts}) != len(posts):
             raise SensorFault("observed actions have contradicting postconditions")
         if len(acts) == len(self.scenario.agents):
-            eff = effects(acts, self.scenario.rules)
-            for lit in invariant_literals(self.curr, eff, self.scenario):
-                nxt.add(lit)
-            for lit in eff:
-                nxt.add(lit)
-        self.curr.assume(sorted(joint_pre(acts)))
+            nxt = invariant_literals(self.curr, effects(acts, self.scenario.rules), self.scenario)
+        else:
+            nxt = LiteralSet(self.scenario.rules, posts)
+        self.curr.assume(sorted(pre))
         record = self._close_previous()
         self.prev = self.curr
         self.curr = nxt

@@ -49,6 +49,12 @@ class Norm:
     by_row: Dict[Tuple[str, ...], Optional["NormInstance"]] = field(
         default_factory=dict, init=False, compare=False, repr=False
     )
+    # For a condition of one literal with variables, the instance of each
+    # ground literal, None where the literal does not match it or a
+    # constraint is false under the match.
+    by_literal: Dict[Literal, Optional["NormInstance"]] = field(
+        default_factory=dict, init=False, compare=False, repr=False
+    )
 
     def __post_init__(self):
         if self.deontic not in (OBLIGATION, PROHIBITION):
@@ -105,6 +111,28 @@ class Norm:
             return inst
 
     @cached_property
+    def literal(self) -> Optional[Tuple[Matcher, bool]]:
+        """For a condition of one literal with variables, its atom compiled
+        and its sign; None for any other condition. The condition's matches
+        are then the atoms the world lists for the literal."""
+        if len(self.condition) != 1 or self.plan.tests is not None:
+            return None
+        (atom, sign), = self.condition
+        return Matcher(atom), sign
+
+    def literal_instance(self, literal: Literal) -> Optional["NormInstance"]:
+        """The instance of a ground literal under a one-literal condition
+        (:attr:`literal`), or None when the literal does not match it or a
+        constraint is false under the match; worked out once per literal."""
+        try:
+            return self.by_literal[literal]
+        except KeyError:
+            fits, atom = self.literal[0], literal[0]
+            key = self.instance_key([atom[p] for p in fits.first.values()]) if fits.matches(atom) else None
+            inst = self.by_literal[literal] = None if key is None else self.instance(key)
+            return inst
+
+    @cached_property
     def ground_instance(self) -> Optional["NormInstance"]:
         """For a condition without variables (``plan.tests``), its only
         instance, or None when a constraint is false on constants alone."""
@@ -127,9 +155,13 @@ class NormInstance:
     action: Atom  # (name, *args), possibly with free variables
     constraints: Tuple[Constraint, ...] = ()  # residual, over free variables
     matcher: Matcher = field(init=False, compare=False, repr=False)
+    # ground schema -> whether the matcher matches it, filled on first
+    # judgement; bounded by the scenario's ground actions
+    judged: Dict[Atom, bool] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "matcher", Matcher(self.action, self.constraints))
+        object.__setattr__(self, "judged", {})
 
 
 def relevant_instances(
@@ -159,7 +191,9 @@ def _instances(norms: Sequence[Norm], world: OpenWorld | ClosedWorld) -> List[No
     instance as a residual. Matches giving one action and the same residuals
     make one instance, which the norm looks up by the match's row. A
     condition without variables is decided by one membership test per
-    literal."""
+    literal. A condition of one literal with variables skips the join: it
+    looks up on the norm each atom the world lists for the literal (a
+    partial state's decoded from its mask), in the join's order."""
     out: List[NormInstance] = []
     holds = world.holds
     for norm in norms:
@@ -173,15 +207,23 @@ def _instances(norms: Sequence[Norm], world: OpenWorld | ClosedWorld) -> List[No
                 else:
                     out.append(inst)
             continue
-        # instances in the order of their first match
-        found = dict.fromkeys(norm.row_instance(tuple(row)) for row in norm.plan.rows(world))
+        literal = norm.literal
+        if literal is not None:
+            fits, sign = literal
+            found = dict.fromkeys(norm.literal_instance((atom, sign)) for atom in world.candidates(fits.name, sign))
+        else:  # instances in the order of their first match
+            found = dict.fromkeys(norm.row_instance(tuple(row)) for row in norm.plan.rows(world))
         found.pop(None, None)
         out.extend(found)
     return out
 
 
 def instance_matches(inst: NormInstance, schema: Atom) -> bool:
-    return inst.matcher.matches(schema)
+    """Does the instance match the ground schema? Kept on the instance."""
+    hit = inst.judged.get(schema)
+    if hit is None:
+        hit = inst.judged[schema] = inst.matcher.matches(schema)
+    return hit
 
 
 _schema = attrgetter("schema")
@@ -195,15 +237,15 @@ def judge(
     least schema that matches it; one fulfils an obligation and violates a
     prohibition, and a complete joint action without one does the opposite.
     An instance is otherwise unknown and left out. The actions are grouped
-    by name once, so an instance reads only its own action's group."""
+    by name once, so an instance reads only its own action's group, and
+    each match result is kept on the instance (:func:`instance_matches`)."""
     groups: Dict[str, List[ActionInstance]] = {}
     for a in sorted(acts, key=_schema):
         groups.setdefault(a.schema[0], []).append(a)
     complete = len(acts) == agent_count
     out = []
     for inst in instances:
-        matches = inst.matcher.matches
-        witness = next((a for a in groups.get(inst.matcher.name, ()) if matches(a.schema)), None)
+        witness = next((a for a in groups.get(inst.matcher.name, ()) if instance_matches(inst, a.schema)), None)
         if witness is not None or complete:
             status = FULFILLED if (witness is not None) == (inst.norm.deontic == OBLIGATION) else VIOLATED
             out.append((inst, status, witness))
@@ -212,7 +254,7 @@ def judge(
 
 def matched_by(instances: Iterable[NormInstance], a: ActionInstance) -> bool:
     """Whether some instance matches the action."""
-    return any(inst.matcher.matches(a.schema) for inst in instances)
+    return any(instance_matches(inst, a.schema) for inst in instances)
 
 
 @dataclass(frozen=True)

@@ -226,10 +226,10 @@ def _commit(
     if len(acts) < len(scenario.agents):
         extended = _extended_invariants(scenario, i, acts, post_sets)
         _assume_checked(scenario, f, post, "final", "reconstructed postconditions")
-        f.assume(extended)
+        _assume_checked(scenario, f, extended, "final", "extended invariants")
     else:
         eff = effects(acts, scenario.rules)
-        f.assume(survivors(i, eff, (), scenario.rules))
+        _assume_checked(scenario, f, survivors(i, eff, (), scenario.rules), "final", "invariant literals")
         _assume_checked(scenario, f, eff, "final", "joint effects")
     return acts
 

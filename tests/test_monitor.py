@@ -2,12 +2,16 @@ import random
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from normmon import monitor as monitor_module
 from normmon import reconstruction
-from normmon.harness import CaseStudyConfig, generate_case_study, simulate
+from normmon.actions import effects, joint_post
+from normmon.harness import CaseStudyConfig, RandomConfig, generate_case_study, generate_random, simulate
 from normmon.monitor import (
     APPROXIMATE,
+    COMPLETE,
     EMPTY,
     FULL,
     TRADITIONAL,
@@ -15,9 +19,11 @@ from normmon.monitor import (
     NormMonitor,
     SensorFault,
 )
-from normmon.logic import LiteralSet
+from normmon.logic import LiteralSet, survivors
 from normmon.norms import DISCOVERED, IDENTIFIED, VIOLATED, relevant_instances
+from normmon.reconstruction import KnowledgeFault
 from normmon.scenario import scenario_from_dict, scenario_to_dict
+from support import CROWDED_RULE, TRIO_RULE, office_with_rule
 
 
 @pytest.fixture
@@ -69,6 +75,39 @@ class TestStateEvolution:
             [inst("move(r1,a,b)"), inst("move(r2,d,a)"), inst("move(r3,e,a)")]
         )
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("kind", ["office", "crowded", "trio", "rule-free"])
+    def test_the_successor_is_the_invariant_part_plus_the_effects(self, kind):
+        # Each tick feeds the executed actions or only the observed ones, so
+        # the fully observed ticks start from states reconstruction refined.
+        checked = 0
+        for seed in range(4):
+            rng = random.Random(seed)
+            cfg = CaseStudyConfig(offices_min=4, offices_max=5, robots_min=3, robots_max=3, camera_ratio=0.5)
+            if kind == "office":
+                scenario = generate_case_study(cfg, rng)
+            elif kind == "rule-free":
+                scenario = generate_random(RandomConfig(agents=3, observation_probability=0.5), rng)
+            else:
+                scenario = office_with_rule(cfg, rng, CROWDED_RULE if kind == "crowded" else TRIO_RULE)
+            assert bool(scenario.rules.joins) == (kind == "trio") and bool(scenario.rules) == (kind != "rule-free")
+            log = simulate(scenario, 30, rng)
+            rules = scenario.rules
+            monitor = NormMonitor(scenario, variant=FULL)
+            for executed, observed in zip(log.executed, log.observed):
+                acts = executed if rng.random() < 0.5 else observed
+                before = monitor.curr.copy()
+                monitor.advance(acts)
+                if len(acts) < len(scenario.agents):
+                    continue
+                eff = effects(acts, rules)
+                expected = LiteralSet(rules, joint_post(acts))
+                for lit in [*survivors(before, eff, (), rules), *eff]:
+                    expected.add(lit)
+                assert monitor.curr.snapshot() == expected.snapshot()
+                assert monitor.curr.mask == expected.mask
+                checked += 1
+        assert checked > 20
 
     def test_empty_initial_knowledge(self, fig1, observations):
         monitor = NormMonitor(fig1, variant=FULL, initial_knowledge=EMPTY)
@@ -227,3 +266,46 @@ class TestSensorFaults:
         monitor.run(observations)
         with pytest.raises(RuntimeError):
             monitor.advance([])
+
+
+def _arbitrary_run(seed: int):
+    """A generated scenario and 15 ticks of observations drawn without
+    regard to what can happen: each agent is unobserved, observed at its NOP
+    or observed at one of its ground actions. Even seeds give office runs
+    (camera ratios 0, 0.4 and 0.8), odd ones random runs of 1 to 4 agents."""
+    rng = random.Random(seed)
+    if seed % 2 == 0:
+        cfg = CaseStudyConfig(offices_max=6, robots_max=3, camera_ratio=(0.0, 0.4, 0.8)[seed // 2 % 3])
+        scenario = generate_case_study(cfg, rng)
+    else:
+        scenario = generate_random(RandomConfig(agents=1, agents_max=4, actions=6), rng)
+    ticks = []
+    for _ in range(15):
+        observed = []
+        for agent in scenario.agents:
+            choice = rng.randrange(3)
+            if choice == 1:
+                observed.append(scenario.nop_instance(agent))
+            elif choice == 2 and scenario.ground_actions(agent):
+                observed.append(rng.choice(scenario.ground_actions(agent)))
+        ticks.append(observed)
+    return scenario, ticks
+
+
+class TestArbitraryObservations:
+    @given(st.integers(0, 10**6))
+    @settings(max_examples=300, deadline=None)
+    def test_a_run_ends_in_records_or_a_defined_fault(self, seed):
+        # An impossible stream may be refused, as a SensorFault when an
+        # observation contradicts what the monitor knows or a KnowledgeFault
+        # when reconstruction finds its sound knowledge contradicted, but
+        # never with any other error.
+        scenario, ticks = _arbitrary_run(seed)
+        for variant in VARIANTS:
+            for knowledge in (COMPLETE, EMPTY):
+                monitor = NormMonitor(scenario, variant=variant, initial_knowledge=knowledge)
+                try:
+                    records = monitor.run(ticks)
+                except (SensorFault, KnowledgeFault):
+                    continue
+                assert len(records) == len(ticks)

@@ -30,7 +30,8 @@ from normmon.logic import (
     subst_term,
     unify,
 )
-from normmon.monitor import check_norms
+from normmon.logic import Matcher
+from normmon.monitor import FULL, TRADITIONAL, VARIANTS, NormMonitor, check_norms
 from normmon.norms import (
     FULFILLED,
     OBLIGATION,
@@ -264,6 +265,106 @@ class TestCompiledMatching:
                             assert instance_matches(instance, schema) == expected
                             checked += expected
         assert checked
+
+
+def _office_runs(n, steps):
+    runs = []
+    for idx in range(n):
+        rng = random.Random(idx)
+        scenario = generate_case_study(CaseStudyConfig(camera_ratio=0.25 * (idx % 4), steps=steps), rng)
+        runs.append((scenario, simulate(scenario, steps, rng)))
+    return runs
+
+
+def _joined(norm, world):
+    """The norm's instances through its condition's plan, in match order."""
+    found = dict.fromkeys(norm.row_instance(tuple(row)) for row in norm.plan.rows(world))
+    found.pop(None, None)
+    return list(found)
+
+
+class TestLiteralRoute:
+    def test_the_literal_route_equals_the_join_on_monitor_states(self):
+        move = SchemaRef("move", ("R", "L", "O"))
+        extra = [
+            # a predicate with static facts
+            Norm("corridor", OBLIGATION, ((("corridor", "L", "O"), True),), (("L", "!=", "O"),), move),
+            # a negative literal
+            Norm("away", PROHIBITION, ((("in", "R", "O"), False),), (), move),
+            # a constant and a repeated variable
+            Norm("r1", PROHIBITION, ((("in", "r1", "O"), True),), (), move),
+            Norm("same", OBLIGATION, ((("corridor", "O", "O"), True),), (), move),
+        ]
+        found = dict.fromkeys((n.id for n in extra), 0)
+        for scenario, log in _office_runs(4, 30):
+            norms = [*scenario.norms, *extra]
+            assert all(n.literal is not None for n in norms)
+            for variant in (TRADITIONAL, FULL):
+                monitor = NormMonitor(scenario, variant=variant)
+                for observed in log.observed:
+                    monitor.advance(observed)
+                    for state in (monitor.prev, monitor.curr):
+                        got = relevant_instances(norms, state, scenario.statics)
+                        world = OpenWorld(state, scenario.statics)
+                        expected = [inst for n in norms for inst in _joined(n, world)]
+                        assert len(got) == len(expected)
+                        assert all(x is y for x, y in zip(got, expected))
+                        for inst in got:
+                            found[inst.norm_id] = found.get(inst.norm_id, 0) + 1
+        # every norm met states where it had instances; "same" never does
+        assert all(found[n] for n in ("no-collision", "corridor", "away", "r1")) and found["same"] == 0
+
+    def test_kept_judgements_equal_the_matcher(self):
+        runs = _office_runs(3, 30)
+        for k in range(3):
+            rng = random.Random(k)
+            scenario = generate_random(RandomConfig(agents=3, observation_probability=0.5), rng)
+            runs.append((scenario, simulate(scenario, 30, rng)))
+        checked = 0
+        for scenario, log in runs:
+            oracle_events(scenario, log)
+            for variant in VARIANTS:
+                NormMonitor(scenario, variant=variant).run(log.observed)
+            schemas = {
+                a.schema for g in scenario.agents for a in (*scenario.ground_actions(g), scenario.nop_instance(g))
+            }
+            for norm in scenario.norms:
+                for inst in norm.instances.values():
+                    # the table holds the scenario's ground actions only
+                    assert inst.judged.keys() <= schemas
+                    for schema, hit in inst.judged.items():
+                        assert hit == Matcher(inst.action, inst.constraints).matches(schema)
+                        checked += hit
+        assert checked > 50
+
+    def test_a_warm_traditional_office_pass_makes_no_join_or_match_call(self, monkeypatch):
+        runs = _office_runs(4, 40)
+
+        def monitor_pass():
+            return [NormMonitor(s, variant=TRADITIONAL).run(log.observed) for s, log in runs]
+
+        calls = {"rows": 0, "matches": 0}
+        rows, matches = Plan.rows, Matcher.matches
+
+        def counted_rows(self, *a):
+            calls["rows"] += 1
+            return rows(self, *a)
+
+        def counted_matches(self, *a):
+            calls["matches"] += 1
+            return matches(self, *a)
+
+        monkeypatch.setattr(Plan, "rows", counted_rows)
+        monkeypatch.setattr(Matcher, "matches", counted_matches)
+        cold = monitor_pass()
+        # The cold pass fills the judgements, through the counted matcher.
+        assert calls["matches"] > 0
+        calls.update(rows=0, matches=0)
+        assert monitor_pass() == cold
+        # Every instance comes from the state's mask and every judgement
+        # from the instance's table.
+        assert calls == {"rows": 0, "matches": 0}
+        assert sum(len(r.verdicts) for records in cold for r in records) > 50
 
 
 class TestNormValidation:
